@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from . import harmonics
 from .conformal import bubble_mass
 from .errors import InvariantViolation, RangeOverflowError
-from .grid import FOUR_PI, ScalarField, average, integrate_values
+from .grid import FOUR_PI, ScalarField, SphericalGrid, average, integrate_values
 
 #: exp argument ceiling; doubles overflow near 709.78
 EXP_LIMIT = 700.0
@@ -33,17 +33,26 @@ EXP_LIMIT = 700.0
 OBSTRUCTION_CONSTANT = 1.0 - np.log(2.0)
 
 
-def _exp2u_values(u: ScalarField) -> np.ndarray:
-    two_u = 2.0 * u.values
+def _exp2u_values(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
+    two_u = 2.0 * u
     peak = float(two_u.max())
     if peak > EXP_LIMIT:
-        j = int(np.argmax(u.values))
-        jt, jp = np.unravel_index(j, u.values.shape)
+        j = int(np.argmax(u))
+        jt, jp = np.unravel_index(j, u.shape)
         raise RangeOverflowError(
-            f"exp(2u) overflows: max u = {u.values.max():.6g} at node "
-            f"(theta={u.grid.theta[jt]:.6f}, phi={u.grid.phi[jp]:.6f})",
-            max_value=u.values.max(), node=(int(jt), int(jp)))
+            f"exp(2u) overflows: max u = {u.max():.6g} at node "
+            f"(theta={grid.theta[jt]:.6f}, phi={grid.phi[jp]:.6f})",
+            max_value=u.max(), node=(int(jt), int(jp)))
     return np.exp(two_u)
+
+
+def _exp2u_moments(grid: SphericalGrid, u: np.ndarray):
+    """exp(2u) at the nodes, its mass and first moments (evaluate, optimizer)."""
+    e2u = _exp2u_values(grid, u)
+    mass = integrate_values(grid, e2u)
+    moments = np.array([integrate_values(grid, e2u * grid.xyz[:, :, i])
+                        for i in range(3)])
+    return e2u, mass, moments
 
 
 def _laplacian_values(u: ScalarField, L: int | None = None) -> np.ndarray:
@@ -87,11 +96,8 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     The Dirichlet term is computed spectrally at degree L (defaults to
     the grid's anti-aliasing bound); exp(2u) terms are pointwise.
     """
-    e2u = _exp2u_values(u)
     grid = u.grid
-    mass = integrate_values(grid, e2u)
-    moments = np.array([integrate_values(grid, e2u * grid.xyz[:, :, i])
-                        for i in range(3)])
+    _, mass, moments = _exp2u_moments(grid, u.values)
     spec = harmonics.analyze(u, harmonics.max_degree(grid) if L is None else L)
     avg_grad_sq = harmonics.dirichlet_energy(spec) / FOUR_PI
     avg_u = average(u)
@@ -125,7 +131,7 @@ def l2_gradient(u: ScalarField, eps: float, L: int | None = None) -> ScalarField
     Vanishes exactly on solutions of the Euler-Lagrange equation; its
     integral is zero for every u (the two constant terms balance).
     """
-    e2u = _exp2u_values(u)
+    e2u = _exp2u_values(u.grid, u.values)
     mass = integrate_values(u.grid, e2u)
     lap = _laplacian_values(u, L)
     g = (-lap / (FOUR_PI * (1.0 - eps))
@@ -157,14 +163,14 @@ def el_residual(u: ScalarField, eps: float, normalization: str = "u",
     """
     grid = u.grid
     if normalization == "u":
-        e2u = _exp2u_values(u)
+        e2u = _exp2u_values(grid, u.values)
         mass = integrate_values(grid, e2u)
         r = (-_laplacian_values(u, L)
              - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI))
         check_zero_integral = True
         v_field = ScalarField(grid, 2.0 * u.values - np.log(mass))
     elif normalization == "v":
-        ev = _exp2u_values(ScalarField(grid, 0.5 * u.values))
+        ev = _exp2u_values(grid, 0.5 * u.values)
         r = (-_laplacian_values(u, L)
              - 16.0 * np.pi * (1.0 - eps) * (ev - 1.0 / FOUR_PI))
         check_zero_integral = abs(integrate_values(grid, ev) - 1.0) < 1e-9
@@ -195,7 +201,7 @@ def kazdan_warner_residual(v: ScalarField, h: ScalarField, c: float) -> np.ndarr
     (1/2)[Lap(h x_i) - x_i Lap h + 2 h x_i], using Lap x_i = -2 x_i.
     """
     grid = v.grid
-    ev = _exp2u_values(ScalarField(grid, 0.5 * v.values))
+    ev = _exp2u_values(grid, 0.5 * v.values)
     L = harmonics.max_degree(grid)
     lap_h = _laplacian_values(h, L)
     out = np.empty(3)

@@ -146,7 +146,7 @@ def coordinate_fields(grid: SphericalGrid):
 
 def integrate(f: ScalarField) -> float:
     """Quadrature integral of f over S^2 (weights sum to 4*pi)."""
-    return float(np.dot(f.grid.weight, f.values.sum(axis=1)))
+    return integrate_values(f.grid, f.values)
 
 
 def average(f: ScalarField) -> float:

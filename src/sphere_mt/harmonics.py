@@ -8,20 +8,23 @@ Basis convention: orthonormal real harmonics
 
 where p_{l,m} are the fully normalized associated Legendre functions
 (no Condon-Shortley phase), so that integrate(Y_a * Y_b) = delta_ab.
-The p_{l,m} are built with the standard stable normalized three-term
-recurrence, accurate well beyond degree 128.
+One generator runs the stable normalized three-term recurrence for
+p_{l,m} (accurate well beyond degree 128) in m-major row order: the
+transform tables stack its rows at the grid's own nodes (grid.cos_theta),
+and evaluate_at_points accumulates them point by point.
 
-Longitude sums use a real FFT for analysis and direct trig-table
-summation for synthesis; the contract is the result, not the algorithm.
+Longitude sums use a real FFT for analysis but cos/sin tables for
+synthesis: an inverse FFT would move the low-order bits, and the tables
+keep synthesized values (and every report built on them) bit-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import ResolutionError
 from .grid import ScalarField, SphericalGrid
@@ -42,10 +45,8 @@ def max_degree(grid: SphericalGrid) -> int:
 
 def degrees(L: int) -> np.ndarray:
     """Degree l of each flat coefficient index (length (L+1)^2)."""
-    out = np.empty((L + 1) ** 2, dtype=int)
-    for l in range(L + 1):
-        out[l * l: (l + 1) ** 2] = l
-    return out
+    l = np.arange(L + 1)
+    return np.repeat(l, 2 * l + 1)
 
 
 def flat_index(l: int, m: int) -> int:
@@ -79,33 +80,51 @@ class HarmonicSpectrum:
         return float(self.coeff[flat_index(l, m)])
 
 
-@lru_cache(maxsize=16)
-def _legendre_tables(n_theta: int, L: int):
-    """Normalized associated Legendre values p_{l,m}(x_j) at GL nodes.
+def _legendre_rows(x: np.ndarray, s: np.ndarray, L: int):
+    """Yield p_{l,m}(x) for m = 0..L, l = m..L (m-major); s = sin(theta).
 
-    Returns a list indexed by m; entry m has shape (L + 1 - m, n_theta)
-    with rows l = m..L.  Cached per (n_theta, L) since GL nodes are a
-    deterministic function of n_theta.
+    Each yielded array is fresh and never written again.
     """
-    x, _ = roots_legendre(n_theta)
-    x = x[np.argsort(-x)]
-    s = np.sqrt(1.0 - x * x)
-    tables = []
-    pmm = np.full(n_theta, 1.0 / np.sqrt(4.0 * np.pi))
+    pmm = np.full_like(x, 1.0 / np.sqrt(4.0 * np.pi))
     for m in range(L + 1):
-        rows = np.empty((L + 1 - m, n_theta))
-        rows[0] = pmm
-        if m + 1 <= L:
-            rows[1] = np.sqrt(2.0 * m + 3.0) * x * pmm
+        yield pmm
+        if m == L:
+            return
+        p_prev, p_cur = pmm, np.sqrt(2.0 * m + 3.0) * x * pmm
+        yield p_cur
         for l in range(m + 2, L + 1):
             a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = np.sqrt(((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
                         / ((2.0 * l - 3.0) * (l * l - m * m)))
-            rows[l - m] = a * x * rows[l - 1 - m] - b * rows[l - 2 - m]
-        rows.setflags(write=False)
-        tables.append(rows)
-        if m < L:
-            pmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * pmm
+            p_prev, p_cur = p_cur, a * x * p_cur - b * p_prev
+            yield p_cur
+        pmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * pmm
+
+
+@lru_cache(maxsize=16)
+def _m_major_index(L: int):
+    """Flat positions of c_{l,m} and c_{l,-m} for l = m..L, one array per m."""
+    m, l = np.triu_indices(L + 1)
+    pos, neg = l * l + l + m, l * l + l - m
+    pos.flags.writeable = neg.flags.writeable = False
+    blocks = np.cumsum(np.arange(L + 1, 1, -1))
+    return np.split(pos, blocks), np.split(neg, blocks)
+
+
+@lru_cache(maxsize=16)
+def _legendre_tables(grid: SphericalGrid, L: int):
+    """Normalized associated Legendre values p_{l,m}(x_j) at the GL nodes.
+
+    Returns a list indexed by m; entry m has shape (L + 1 - m, n_theta)
+    with rows l = m..L.  Cached per (grid, L); grids compare by shape.
+    """
+    x = grid.cos_theta
+    rows = _legendre_rows(x, np.sqrt(1.0 - x * x), L)
+    tables = []
+    for m in range(L + 1):
+        block = np.array(list(islice(rows, L + 1 - m)))
+        block.setflags(write=False)
+        tables.append(block)
     return tables
 
 
@@ -144,17 +163,13 @@ def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
     cos_part = F[:, : n_m + 1].real * dphi          # sum_k f cos(m phi_k) dphi
     sin_part = -F[:, : n_m + 1].imag * dphi         # sum_k f sin(m phi_k) dphi
 
-    tables = _legendre_tables(grid.n_theta, L)
+    tables = _legendre_tables(grid, L)
+    pos, neg = _m_major_index(L)
     coeff = np.zeros((L + 1) ** 2)
-    c0 = tables[0] @ (w_theta * cos_part[:, 0])
-    for l in range(L + 1):
-        coeff[flat_index(l, 0)] = c0[l]
+    coeff[pos[0]] = tables[0] @ (w_theta * cos_part[:, 0])
     for m in range(1, L + 1):
-        pc = tables[m] @ (w_theta * cos_part[:, m]) * SQRT2
-        ps = tables[m] @ (w_theta * sin_part[:, m]) * SQRT2
-        for l in range(m, L + 1):
-            coeff[flat_index(l, m)] = pc[l - m]
-            coeff[flat_index(l, -m)] = ps[l - m]
+        coeff[pos[m]] = tables[m] @ (w_theta * cos_part[:, m]) * SQRT2
+        coeff[neg[m]] = tables[m] @ (w_theta * sin_part[:, m]) * SQRT2
     return HarmonicSpectrum(L=L, coeff=coeff)
 
 
@@ -162,16 +177,14 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     """Evaluate sum_lm c_lm Y_lm at every grid node."""
     _check_degree(grid, s.L)
     L = s.L
-    tables = _legendre_tables(grid.n_theta, L)
+    tables = _legendre_tables(grid, L)
     cos_t, sin_t = _trig_tables(grid.n_phi, L)
+    pos, neg = _m_major_index(L)
 
-    c0 = np.array([s.coeff[flat_index(l, 0)] for l in range(L + 1)])
-    values = np.repeat((c0 @ tables[0])[:, None], grid.n_phi, axis=1)
+    values = np.repeat((s.coeff[pos[0]] @ tables[0])[:, None], grid.n_phi, axis=1)
     for m in range(1, L + 1):
-        cc = np.array([s.coeff[flat_index(l, m)] for l in range(m, L + 1)])
-        cs = np.array([s.coeff[flat_index(l, -m)] for l in range(m, L + 1)])
-        gc = cc @ tables[m]
-        gs = cs @ tables[m]
+        gc = s.coeff[pos[m]] @ tables[m]
+        gs = s.coeff[neg[m]] @ tables[m]
         values += SQRT2 * (gc[:, None] * cos_t[m][None, :]
                            + gs[:, None] * sin_t[m][None, :])
     return ScalarField(grid, values)
@@ -182,42 +195,25 @@ def evaluate_at_points(s: HarmonicSpectrum, theta: np.ndarray,
     """Evaluate the spectral sum at arbitrary points (exact resampling).
 
     The Legendre recurrence runs per point; memory stays O(n_points) by
-    accumulating over (l, m) without materializing the full table.
+    accumulating its rows without materializing the full table.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
-    x = np.cos(theta)
-    sfac = np.sin(theta)
     L = s.L
-    out = np.zeros_like(x)
-    pmm = np.full_like(x, 1.0 / np.sqrt(4.0 * np.pi))
+    rows = _legendre_rows(np.cos(theta), np.sin(theta), L)
+    pos, neg = _m_major_index(L)
+    out = np.zeros_like(theta)
     for m in range(L + 1):
-        acc_c = np.zeros_like(x)
-        acc_s = np.zeros_like(x)
-        p_prev = pmm
-        cc = s.coeff[flat_index(m, m)]
-        acc_c += cc * p_prev
-        if m > 0:
-            acc_s += s.coeff[flat_index(m, -m)] * p_prev
-        if m + 1 <= L:
-            p_cur = np.sqrt(2.0 * m + 3.0) * x * pmm
-            acc_c += s.coeff[flat_index(m + 1, m)] * p_cur
+        acc_c = np.zeros_like(theta)
+        acc_s = np.zeros_like(theta)
+        for jc, js, p in zip(pos[m], neg[m], islice(rows, L + 1 - m)):
+            acc_c += s.coeff[jc] * p
             if m > 0:
-                acc_s += s.coeff[flat_index(m + 1, -m)] * p_cur
-            for l in range(m + 2, L + 1):
-                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = np.sqrt(((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
-                            / ((2.0 * l - 3.0) * (l * l - m * m)))
-                p_prev, p_cur = p_cur, a * x * p_cur - b * p_prev
-                acc_c += s.coeff[flat_index(l, m)] * p_cur
-                if m > 0:
-                    acc_s += s.coeff[flat_index(l, -m)] * p_cur
+                acc_s += s.coeff[js] * p
         if m == 0:
             out += acc_c
         else:
             out += SQRT2 * (acc_c * np.cos(m * phi) + acc_s * np.sin(m * phi))
-        if m < L:
-            pmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * sfac * pmm
     return out
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import conformal, harmonics
 from .errors import RangeOverflowError, ResolutionError
-from .functional import EXP_LIMIT, el_residual
-from .grid import FOUR_PI, ScalarField, build_grid, integrate_values
+from .functional import _exp2u_moments, el_residual
+from .grid import FOUR_PI, ScalarField, build_grid
 
 ARMIJO_C1 = 1e-4
 ARMIJO_BACKTRACK = 0.5
@@ -122,11 +122,11 @@ class _Workspace:
     def state(self, coeff: np.ndarray) -> dict | None:
         """Evaluate everything at a spectral point; None if exp overflows."""
         u = self.synth(coeff)
-        if 2.0 * u.max() > EXP_LIMIT:
+        try:
+            e2u, mass, moments = _exp2u_moments(self.grid, u)
+        except RangeOverflowError:
             return None
-        e2u = np.exp(2.0 * u)
-        mass = integrate_values(self.grid, e2u)
-        mhat = np.array([integrate_values(self.grid, e2u * x) for x in self.x_fields]) / mass
+        mhat = moments / mass
         ags = float(np.sum(self.ll1 * coeff ** 2)) / FOUR_PI
         log_avg_exp = float(np.log(mass / FOUR_PI))
         return {"u": u, "e2u": e2u, "mass": mass, "mhat": mhat,
@@ -192,21 +192,19 @@ def _initial_coeff(ws: _Workspace, config: MinimizeConfig) -> np.ndarray:
 
 
 def _blowup_result(ws, coeff, lam, trace) -> MinimizeResult:
-    u_vals = ws.synth(coeff)
-    u_star = ScalarField(ws.grid, u_vals)
+    u_star = ScalarField(ws.grid, ws.synth(coeff))
     value = viol = resid = None
     kw = None
-    if 2.0 * u_vals.max() <= EXP_LIMIT:
-        st = ws.state(coeff)
-        if st is not None and st["mass"] < np.inf:
-            value = ws.value(st)
-            viol = float(np.max(np.abs(st["mhat"])))
-            try:
-                rep = el_residual(u_star, ws.config.eps)
-                resid = rep.el_residual_norm
-                kw = rep.kw_residual
-            except RangeOverflowError:
-                pass
+    st = ws.state(coeff)
+    if st is not None and st["mass"] < np.inf:
+        value = ws.value(st)
+        viol = float(np.max(np.abs(st["mhat"])))
+        try:
+            rep = el_residual(u_star, ws.config.eps)
+            resid = rep.el_residual_norm
+            kw = rep.kw_residual
+        except RangeOverflowError:
+            pass
     return MinimizeResult(
         u_star=u_star, value=value, multipliers=lam.copy(),
         constraint_violation=viol, el_residual_norm=resid, kw_residual=kw,

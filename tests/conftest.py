@@ -16,3 +16,8 @@ def grid_default():
 @pytest.fixture(scope="session")
 def grid_opt():
     return build_grid(48, 96)
+
+
+@pytest.fixture(scope="session")
+def grid_hires():
+    return build_grid(256, 512)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import sph_legendre_p
 
 from sphere_mt import (FOUR_PI, HarmonicSpectrum, ResolutionError,
                        ScalarField, analyze, dirichlet_energy,
@@ -179,11 +180,36 @@ def test_anti_aliasing_bound(grid_small):
         synthesize(HarmonicSpectrum(L=23, coeff=np.zeros(576)), grid_small)
 
 
-def test_evaluate_at_points_matches_synthesize(grid_small):
+def test_high_degree_synthesis_matches_scipy_oracle(grid_hires):
+    # scipy's sph_legendre_p carries the Condon-Shortley phase the basis drops
+    L = max_degree(grid_hires)
+    assert L == 254
+    sqrt2 = np.sqrt(2.0)
+    worst = 0.0
+    for l, m in [(0, 0), (1, 1), (128, 64), (128, -64), (200, 199),
+                 (253, 250), (254, 0), (254, 1), (254, 127), (254, -127),
+                 (254, 254)]:
+        f = synthesize(unit_spectrum(L, l, m), grid_hires)
+        p = sph_legendre_p(l, abs(m), grid_hires.theta)[0] * (-1.0) ** m
+        if m > 0:
+            ang = sqrt2 * np.cos(m * grid_hires.phi)
+        elif m < 0:
+            ang = sqrt2 * np.sin(-m * grid_hires.phi)
+        else:
+            ang = np.ones(grid_hires.n_phi)
+        worst = max(worst, np.max(np.abs(f.values - p[:, None] * ang[None, :])))
+    assert worst <= 1e-10
+
+
+def test_evaluate_at_points_matches_synthesize(grid_small, grid_hires):
+    # (grid, L, node rows, bound): every node at low degree, and four
+    # rows of the 256x512 grid at its top degree
+    cases = [(grid_small, 9, slice(None), 1e-11),
+             (grid_hires, 254, slice(None, None, 64), 1e-10)]
     rng = np.random.default_rng(13)
-    L = 9
-    s = HarmonicSpectrum(L=L, coeff=rng.standard_normal((L + 1) ** 2))
-    f = synthesize(s, grid_small)
-    th, ph = np.meshgrid(grid_small.theta, grid_small.phi, indexing="ij")
-    vals = evaluate_at_points(s, th.ravel(), ph.ravel())
-    assert np.max(np.abs(vals.reshape(f.values.shape) - f.values)) <= 1e-11
+    for grid, L, rows, bound in cases:
+        s = HarmonicSpectrum(L=L, coeff=rng.standard_normal((L + 1) ** 2))
+        f = synthesize(s, grid).values[rows]
+        th, ph = np.meshgrid(grid.theta[rows], grid.phi, indexing="ij")
+        vals = evaluate_at_points(s, th.ravel(), ph.ravel())
+        assert np.max(np.abs(vals.reshape(f.shape) - f)) <= bound
