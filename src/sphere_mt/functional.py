@@ -46,15 +46,6 @@ def _exp2u_values(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
     return np.exp(two_u)
 
 
-def _exp2u_moments(grid: SphericalGrid, u: np.ndarray):
-    """exp(2u) at the nodes, its mass and first moments (evaluate, optimizer)."""
-    e2u = _exp2u_values(grid, u)
-    mass = integrate_values(grid, e2u)
-    moments = np.array([integrate_values(grid, e2u * grid.xyz[:, :, i])
-                        for i in range(3)])
-    return e2u, mass, moments
-
-
 def _laplacian_values(u: ScalarField, L: int | None = None) -> np.ndarray:
     if L is None:
         L = harmonics.max_degree(u.grid)
@@ -97,7 +88,10 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     the grid's anti-aliasing bound); exp(2u) terms are pointwise.
     """
     grid = u.grid
-    _, mass, moments = _exp2u_moments(grid, u.values)
+    e2u = _exp2u_values(grid, u.values)
+    mass = integrate_values(grid, e2u)
+    moments = np.array([integrate_values(grid, e2u * grid.xyz[:, :, i])
+                        for i in range(3)])
     spec = harmonics.analyze(u, harmonics.max_degree(grid) if L is None else L)
     avg_grad_sq = harmonics.dirichlet_energy(spec) / FOUR_PI
     avg_u = average(u)

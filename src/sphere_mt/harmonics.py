@@ -13,9 +13,11 @@ p_{l,m} (accurate well beyond degree 128) in m-major row order: the
 transform tables stack its rows at the grid's own nodes (grid.cos_theta),
 and evaluate_at_points accumulates them point by point.
 
-Longitude sums use a real FFT for analysis but cos/sin tables for
-synthesis: an inverse FFT would move the low-order bits, and the tables
-keep synthesized values (and every report built on them) bit-stable.
+Longitude sums are real FFTs both ways: analysis takes rfft of the node
+values, and synthesis fills the half-spectrum F[:, m] = (g_c - i g_s)/sqrt(2)
+from the per-m Legendre sums and takes irfft(F) * n_phi (the layout of
+Schaeffer, "Efficient spherical harmonic transforms aimed at
+pseudospectral numerical simulations", G^3 2013).
 """
 
 from __future__ import annotations
@@ -128,18 +130,6 @@ def _legendre_tables(grid: SphericalGrid, L: int):
     return tables
 
 
-@lru_cache(maxsize=16)
-def _trig_tables(n_phi: int, L: int):
-    """cos(m phi_k) and sin(m phi_k) tables of shape (L+1, n_phi)."""
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    m = np.arange(L + 1)[:, None]
-    cos_t = np.cos(m * phi[None, :])
-    sin_t = np.sin(m * phi[None, :])
-    cos_t.setflags(write=False)
-    sin_t.setflags(write=False)
-    return cos_t, sin_t
-
-
 def _check_degree(grid: SphericalGrid, L: int):
     limit = max_degree(grid)
     if L > limit:
@@ -178,16 +168,16 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     _check_degree(grid, s.L)
     L = s.L
     tables = _legendre_tables(grid, L)
-    cos_t, sin_t = _trig_tables(grid.n_phi, L)
     pos, neg = _m_major_index(L)
 
-    values = np.repeat((s.coeff[pos[0]] @ tables[0])[:, None], grid.n_phi, axis=1)
+    # L <= max_degree < n_phi / 2, so every m has its own rfft bin.
+    F = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
+    F[:, 0] = s.coeff[pos[0]] @ tables[0]
     for m in range(1, L + 1):
-        gc = s.coeff[pos[m]] @ tables[m]
-        gs = s.coeff[neg[m]] @ tables[m]
-        values += SQRT2 * (gc[:, None] * cos_t[m][None, :]
-                           + gs[:, None] * sin_t[m][None, :])
-    return ScalarField(grid, values)
+        gc, gs = np.stack((s.coeff[pos[m]], s.coeff[neg[m]])) @ tables[m]
+        F[:, m] = (gc - 1j * gs) * (SQRT2 / 2.0)
+    # n= keeps the output length right for odd n_phi
+    return ScalarField(grid, np.fft.irfft(F, n=grid.n_phi, axis=1) * grid.n_phi)
 
 
 def evaluate_at_points(s: HarmonicSpectrum, theta: np.ndarray,

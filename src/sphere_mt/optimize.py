@@ -19,8 +19,8 @@ import numpy as np
 
 from . import conformal, harmonics
 from .errors import RangeOverflowError, ResolutionError
-from .functional import _exp2u_moments, el_residual
-from .grid import FOUR_PI, ScalarField, build_grid
+from .functional import _exp2u_values, el_residual
+from .grid import FOUR_PI, ScalarField, build_grid, integrate_values
 
 ARMIJO_C1 = 1e-4
 ARMIJO_BACKTRACK = 0.5
@@ -66,7 +66,12 @@ class MinimizeConfig:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One outer-iteration snapshot (values may be None after blow-up)."""
+    """One outer-iteration snapshot (values may be None after blow-up).
+
+    stop_reason says why the inner loop ended: grad_tol, inner_cap or
+    line_search_failed (no Armijo step within MAX_BACKTRACKS); it is None
+    when blow-up interrupted the loop.
+    """
 
     outer: int
     value: float | None
@@ -77,6 +82,7 @@ class TraceEntry:
     mass: float | None
     mu: float
     inner_iters: int
+    stop_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -123,12 +129,21 @@ class _Workspace:
         """Evaluate everything at a spectral point; None if exp overflows."""
         u = self.synth(coeff)
         try:
-            e2u, mass, moments = _exp2u_moments(self.grid, u)
+            e2u = _exp2u_values(self.grid, u)
         except RangeOverflowError:
             return None
+        # Near u = 0, log(mass / 4 pi) is only accurate to ~1e-16 absolute,
+        # which is as large as the decrease Armijo must resolve there.
+        # expm1 keeps the excess mass (and the moments, since the rule
+        # integrates x_i to zero) accurate relative to u.
+        em1 = np.expm1(2.0 * u)
+        excess = integrate_values(self.grid, em1)
+        mass = FOUR_PI + excess
+        moments = np.array([integrate_values(self.grid, em1 * x)
+                            for x in self.x_fields])
         mhat = moments / mass
         ags = float(np.sum(self.ll1 * coeff ** 2)) / FOUR_PI
-        log_avg_exp = float(np.log(mass / FOUR_PI))
+        log_avg_exp = float(np.log1p(excess / FOUR_PI))
         return {"u": u, "e2u": e2u, "mass": mass, "mhat": mhat,
                 "ags": ags, "log_avg_exp": log_avg_exp,
                 "max_u": float(u.max())}
@@ -144,17 +159,19 @@ class _Workspace:
 
     def gradient(self, coeff: np.ndarray, st: dict, lam: np.ndarray,
                  mu: float) -> np.ndarray:
-        """Spectral L^2 gradient of the augmented objective, mode 0 frozen."""
+        """Spectral L^2 gradient of the augmented objective, mode 0 frozen.
+
+        Only the exp(2u) terms need the grid; the Laplacian term is the
+        diagonal l(l+1) c_lm / (4 pi (1-eps)) in coefficient space.
+        """
         eps = self.config.eps
-        lap = self.synth(-self.ll1 * coeff)
-        g = (-lap / (FOUR_PI * (1.0 - eps))
-             + 1.0 / (2.0 * np.pi)
-             - 2.0 * st["e2u"] / st["mass"])
+        g = 1.0 / (2.0 * np.pi) - 2.0 * st["e2u"] / st["mass"]
         for i in range(3):
             weight_i = lam[i] + mu * st["mhat"][i]
             if weight_i != 0.0:
                 g = g + weight_i * 2.0 * st["e2u"] * (self.x_fields[i] - st["mhat"][i]) / st["mass"]
-        ghat = harmonics.analyze(ScalarField(self.grid, g), self.L).coeff.copy()
+        ghat = (harmonics.analyze(ScalarField(self.grid, g), self.L).coeff
+                + self.ll1 * coeff / (FOUR_PI * (1.0 - eps)))
         ghat[0] = 0.0
         return ghat
 
@@ -217,7 +234,9 @@ def minimize(config: MinimizeConfig,
     """Augmented-Lagrangian descent on the perturbed functional.
 
     Outer iterations update multipliers lambda_i += mu * mhat_i and grow
-    the penalty when the violation fails to shrink by a factor of 4.
+    the penalty when the violation is above tol_constraint and failed to
+    shrink by a factor of 4 (Nocedal & Wright, Numerical Optimization,
+    ch. 17: a satisfied constraint never needs a larger penalty).
     Inner iterations take Armijo steps along the negative Sobolev-
     preconditioned gradient until the preconditioned gradient norm falls
     below tol_grad.  Returns converged / blowup_detected / iteration_cap;
@@ -252,11 +271,15 @@ def minimize(config: MinimizeConfig,
         ws.check_blowup(st)
         for outer in range(config.max_outer):
             inner_iters = 0
+            stop_reason = "grad_tol"
             ghat = ws.gradient(coeff, st, lam, mu)
             pnorm = float(np.sqrt(np.sum(ghat * ghat * ws.precond)))
             f_cur = ws.objective(st, lam, mu)
 
-            while pnorm > config.tol_grad and inner_iters < config.max_inner:
+            while pnorm > config.tol_grad:
+                if inner_iters >= config.max_inner:
+                    stop_reason = "inner_cap"
+                    break
                 direction = -ws.precond * ghat
                 slope = float(ghat @ direction)  # negative by construction
                 alpha = min(4.0 * alpha, 64.0)
@@ -271,7 +294,8 @@ def minimize(config: MinimizeConfig,
                         break
                     alpha *= ARMIJO_BACKTRACK
                 if not accepted:
-                    break  # stalled at numerical precision
+                    stop_reason = "line_search_failed"
+                    break
                 coeff = trial
                 st = st_trial
                 f_cur = f_trial
@@ -284,14 +308,15 @@ def minimize(config: MinimizeConfig,
             trace.append(TraceEntry(
                 outer=outer, value=ws.value(st), objective=f_cur,
                 violation=viol, grad_norm=pnorm, max_u=st["max_u"],
-                mass=st["mass"], mu=mu, inner_iters=inner_iters))
+                mass=st["mass"], mu=mu, inner_iters=inner_iters,
+                stop_reason=stop_reason))
 
             if viol <= config.tol_constraint and pnorm <= config.tol_grad:
                 status = STATUS_CONVERGED
                 break
 
             lam = lam + mu * st["mhat"]
-            if viol > prev_viol / 4.0:
+            if viol > config.tol_constraint and viol > prev_viol / 4.0:
                 mu *= config.mu_growth
             prev_viol = viol
     except _Blowup:

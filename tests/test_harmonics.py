@@ -3,7 +3,7 @@ import pytest
 from scipy.special import sph_legendre_p
 
 from sphere_mt import (FOUR_PI, HarmonicSpectrum, ResolutionError,
-                       ScalarField, analyze, dirichlet_energy,
+                       ScalarField, analyze, build_grid, dirichlet_energy,
                        integrate, laplacian, max_degree,
                        sobolev_precondition, synthesize)
 from sphere_mt.harmonics import degrees, evaluate_at_points, flat_index
@@ -78,11 +78,13 @@ def test_analyze_constant_and_dipole(grid_small):
 
 def test_round_trip_random_spectrum(grid_default):
     rng = np.random.default_rng(11)
-    L = 16
-    c = rng.uniform(-1.0, 1.0, (L + 1) ** 2)
-    s = HarmonicSpectrum(L=L, coeff=c)
-    back = analyze(synthesize(s, grid_default), L)
-    assert np.max(np.abs(back.coeff - c)) <= 1e-10
+    # an odd longitude count, at its aliasing bound, too
+    odd = build_grid(33, 71)
+    for grid, L in ((grid_default, 16), (odd, max_degree(odd))):
+        c = rng.uniform(-1.0, 1.0, (L + 1) ** 2)
+        s = HarmonicSpectrum(L=L, coeff=c)
+        back = analyze(synthesize(s, grid), L)
+        assert np.max(np.abs(back.coeff - c)) <= 1e-10
 
 
 def test_synthesize_zero_spectrum(grid_small):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sphere_mt import (ContinuationResult, MinimizeConfig, average,
+from sphere_mt import (FOUR_PI, ContinuationResult, MinimizeConfig, average,
                        continuation, minimize)
+from sphere_mt.harmonics import flat_index
 from sphere_mt.io import to_jsonable
 from sphere_mt.optimize import (STATUS_BLOWUP, STATUS_CAP, STATUS_CONVERGED,
                                 _Workspace)
@@ -33,6 +34,33 @@ def test_zero_init_converges_at_the_feasible_stationary_point():
     assert abs(average(res.u_star)) <= 1e-12
     assert res.coeff[0] == 0.0
     assert len(res.trace) >= 1
+    assert res.trace[-1].stop_reason == "grad_tol"
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-6])
+def test_state_log_avg_exp_keeps_relative_accuracy_near_zero(c):
+    # u = c Y_31: log avg exp(2u) = 2 c^2 / 4pi + O(c^4).  log(mass / 4pi)
+    # only has ~1e-16 absolute accuracy, which stalled Armijo near u = 0.
+    ws = _Workspace(MinimizeConfig(eps=0.4, L=16, n_theta=64, n_phi=128))
+    coeff = np.zeros(17 ** 2)
+    coeff[flat_index(3, 1)] = c
+    expect = 2.0 * c * c / FOUR_PI
+    assert abs(ws.state(coeff)["log_avg_exp"] - expect) <= 1e-6 * expect
+
+
+def test_penalty_stops_growing_once_the_constraint_holds():
+    config = MinimizeConfig(eps=0.4, L=16, n_theta=64, n_phi=128,
+                            init_kind="random", init_seed=3, tol_grad=1e-15,
+                            max_outer=8, max_inner=60)
+    res = minimize(config)
+    satisfied = [(a, b) for a, b in zip(res.trace, res.trace[1:])
+                 if a.violation <= config.tol_constraint]
+    assert satisfied
+    for a, b in satisfied:
+        assert b.mu == a.mu
+    for e in res.trace:
+        assert e.stop_reason in ("grad_tol", "inner_cap", "line_search_failed")
+    assert res.trace[0].stop_reason == "inner_cap"
 
 
 def test_random_init_reaches_the_same_basin():
