@@ -1,10 +1,12 @@
 """Independent 1-D oracles for the sphere tests.
 
 Everything here is derived in the colatitude variable c = cos(theta)
-with adaptive scipy quadrature or closed antiderivatives, never through
-the package's own grids or transforms, so it can arbitrate them.
+with adaptive scipy quadrature, closed antiderivatives or 40-digit mpmath
+arithmetic, never through the package's own grids or transforms, so it
+can arbitrate them.
 """
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -75,3 +77,31 @@ def pair_i_alpha(t: float, alpha: float) -> float:
     avg_u = 2.0 * single_bubble_average(t)
     log_avg_exp = np.log(pair_mass(t) / FOUR_PI)
     return alpha * ags + 2.0 * avg_u - log_avg_exp
+
+
+def gauss_legendre_node(n: int, k: int, dps: int = 40):
+    """Node k (theta ascending) of the n-point Gauss-Legendre rule.
+
+    Newton in x on the plain three-term recurrence at `dps` digits, from
+    Tricomi's guess; returns (theta, weight) rounded to floats, with the
+    weight on [-1, 1] (the n weights sum to 2).
+    """
+    with mpmath.workdps(dps):
+        def p_pair(x):
+            p_prev, p = mpmath.mpf(1), x
+            for j in range(1, n):
+                p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+            return p, p_prev
+
+        x = (1 - mpmath.mpf(n - 1) / (8 * mpmath.mpf(n) ** 3)) * mpmath.cos(
+            mpmath.pi * (4 * k + 3) / (4 * n + 2))
+        tol = mpmath.mpf(10) ** (5 - dps)
+        for _ in range(100):
+            p, p_prev = p_pair(x)
+            step = p * (1 - x * x) / (n * (p_prev - x * p))
+            x -= step
+            if abs(step) < tol:
+                break
+        _, p_prev = p_pair(x)
+        weight = 2 * (1 - x * x) / (n * p_prev) ** 2
+        return float(mpmath.acos(x)), float(weight)

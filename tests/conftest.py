@@ -21,3 +21,9 @@ def grid_opt():
 @pytest.fixture(scope="session")
 def grid_hires():
     return build_grid(256, 512)
+
+
+@pytest.fixture(scope="session")
+def grid_tall():
+    """Criterion 4's 24576-node colatitude rule."""
+    return build_grid(24576, 4)

@@ -100,7 +100,7 @@ def test_criterion_3_conformal_invariants(grid_default):
     print("criterion 3 PASS")
 
 
-def test_criterion_4_green_function():
+def test_criterion_4_green_function(grid_tall):
     value = green_two_pole_value(np.pi / 2.0)
     assert abs(value - (-4.0 * (1.0 - LN2))) <= 1e-9
 
@@ -113,8 +113,7 @@ def test_criterion_4_green_function():
 
     # the log pole singularity integrates only ~n^-2 accurately, so the
     # 1e-8 zero-average target needs a tall colatitude grid
-    tall = build_grid(24576, 4)
-    avg = average(green_two_pole(tall))
+    avg = average(green_two_pole(grid_tall))
     assert abs(avg) <= 1e-8
     print(f"criterion 4 PASS: avg(G) = {avg:.2e} on 24576-node rule")
 

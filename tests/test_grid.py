@@ -6,14 +6,15 @@ from sphere_mt import (FOUR_PI, GridSizeError, NonFiniteFieldError,
                        constant_field, coordinate_fields, integrate,
                        pointwise_map)
 
-from _oracles import ln_sin_sphere_integral
+from _oracles import gauss_legendre_node, ln_sin_sphere_integral
 
 
 def test_total_weight_is_sphere_area(grid_small):
-    assert abs(grid_small.weight.sum() * grid_small.n_phi - FOUR_PI) \
-        <= 1e-12 * FOUR_PI
-    assert abs(integrate(constant_field(grid_small, 1.0)) - FOUR_PI) \
-        <= 1e-12 * FOUR_PI
+    # 1025 nodes: odd, and above the switch to Newton in theta
+    for g in (grid_small, build_grid(1025, 4)):
+        assert abs(g.weight.sum() * g.n_phi - FOUR_PI) <= 1e-12 * FOUR_PI
+        assert abs(integrate(constant_field(g, 1.0)) - FOUR_PI) \
+            <= 1e-12 * FOUR_PI
 
 
 def test_nodes_are_unit_vectors_off_the_poles(grid_small):
@@ -36,13 +37,37 @@ def test_integrate_second_moment(grid_small):
 
 
 def test_integrate_odd_symmetry(grid_small):
-    x1, x2, x3 = coordinate_fields(grid_small)
-    for f in (x1, x2, x3):
-        assert abs(integrate(f)) <= 1e-13
-    cos_theta = ScalarField(grid_small, np.broadcast_to(
-        grid_small.cos_theta[:, None],
-        (grid_small.n_theta, grid_small.n_phi)).copy())
-    assert abs(integrate(cos_theta)) <= 1e-13
+    odd = build_grid(1025, 4)
+    assert np.all(np.diff(odd.theta) > 0.0)
+    assert odd.theta[512] == np.pi / 2
+    assert np.array_equal(odd.weight, odd.weight[::-1])
+    for g in (grid_small, odd):
+        x1, x2, x3 = coordinate_fields(g)
+        for f in (x1, x2, x3):
+            assert abs(integrate(f)) <= 1e-13
+        cos_theta = ScalarField(g, np.broadcast_to(
+            g.cos_theta[:, None], (g.n_theta, g.n_phi)).copy())
+        assert abs(integrate(cos_theta)) <= 1e-13
+
+
+def test_gauss_legendre_nodes_match_mpmath_oracle():
+    n = 2048
+    g = build_grid(n, 4)
+    for k in (0, 1, 2, n // 4, n // 2 - 1):
+        theta, weight = gauss_legendre_node(n, k)
+        assert g.theta[k] == pytest.approx(theta, rel=1e-14, abs=0.0)
+        assert g.weight[k] * g.n_phi / (2.0 * np.pi) == pytest.approx(
+            weight, rel=1e-10, abs=0.0)
+
+
+def test_tall_rule_integrates_its_top_even_monomial(grid_tall):
+    # x^(2n-2) is the highest even degree the n-node rule integrates
+    # exactly, and its mass sits at the poles, where the weights are
+    # hardest to get right
+    n = grid_tall.n_theta
+    f = ScalarField(grid_tall, grid_tall.xyz[:, :, 2] ** (2 * n - 2))
+    assert integrate(f) == pytest.approx(
+        2.0 * np.pi * 2.0 / (2 * n - 1), rel=1e-11, abs=0.0)
 
 
 def test_integrate_log_sin_converges_to_oracle():
