@@ -10,7 +10,8 @@ class SphereMTError(Exception):
 
 
 class GridSizeError(SphereMTError, ValueError):
-    """Grid dimensions below the supported minimums."""
+    """Grid dimensions below the supported minimums, or field values
+    whose shape does not match their grid."""
 
 
 class ResolutionError(SphereMTError, ValueError):

@@ -10,6 +10,11 @@ Euler-Lagrange residual of
 the Kazdan-Warner moment identity, and the closed-form/numeric pieces
 of the two-point concentration energy expansion.
 
+The gradient and the EL residual share one residual field.  el_residual
+takes its Kazdan-Warner defects in closed form (the curvature is
+constant): a scaled zero-moment constraint, identically 0 at eps = 1/2,
+not a test of the equation; kazdan_warner_residual is the general-h one.
+
 All exponentials are evaluated pointwise on the grid; overflow is a
 first-class blow-up signal (RangeOverflowError), never a crash.
 """
@@ -44,6 +49,12 @@ def _exp2u_values(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
             f"(theta={grid.theta[jt]:.6f}, phi={grid.phi[jp]:.6f})",
             max_value=u.max(), node=(int(jt), int(jp)))
     return np.exp(two_u)
+
+
+def _moments(grid: SphericalGrid, e2u: np.ndarray) -> np.ndarray:
+    """The first moments int exp(2u) x_i, i = 1, 2, 3."""
+    return np.array([integrate_values(grid, e2u * grid.xyz[:, :, i])
+                     for i in range(3)])
 
 
 def _laplacian_values(u: ScalarField, L: int | None = None) -> np.ndarray:
@@ -90,8 +101,7 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     grid = u.grid
     e2u = _exp2u_values(grid, u.values)
     mass = integrate_values(grid, e2u)
-    moments = np.array([integrate_values(grid, e2u * grid.xyz[:, :, i])
-                        for i in range(3)])
+    moments = _moments(grid, e2u)
     spec = harmonics.analyze(u, harmonics.max_degree(grid) if L is None else L)
     avg_grad_sq = harmonics.dirichlet_energy(spec) / FOUR_PI
     avg_u = average(u)
@@ -117,21 +127,27 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     return report
 
 
+def _el_field(u: ScalarField, eps: float, L: int | None = None):
+    """The Euler-Lagrange residual r = -Lap u - 8 pi (1-eps)(exp(2u)/mass
+    - 1/(4 pi)) as values, with the exp(2u) values and mass it used."""
+    e2u = _exp2u_values(u.grid, u.values)
+    mass = integrate_values(u.grid, e2u)
+    r = (-_laplacian_values(u, L)
+         - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI))
+    return r, e2u, mass
+
+
 def l2_gradient(u: ScalarField, eps: float, L: int | None = None) -> ScalarField:
     """L^2 gradient of the shift-invariant perturbed functional:
 
-        g = -Lap u / (4 pi (1-eps)) + 1/(2 pi) - 2 exp(2u)/mass.
+        g = -Lap u / (4 pi (1-eps)) + 1/(2 pi) - 2 exp(2u)/mass,
 
-    Vanishes exactly on solutions of the Euler-Lagrange equation; its
-    integral is zero for every u (the two constant terms balance).
+    the Euler-Lagrange residual divided by 4 pi (1-eps).  Vanishes
+    exactly on solutions of the Euler-Lagrange equation; its integral is
+    zero for every u (the two constant terms balance).
     """
-    e2u = _exp2u_values(u.grid, u.values)
-    mass = integrate_values(u.grid, e2u)
-    lap = _laplacian_values(u, L)
-    g = (-lap / (FOUR_PI * (1.0 - eps))
-         + 1.0 / (2.0 * np.pi)
-         - 2.0 * e2u / mass)
-    return ScalarField(u.grid, g)
+    r, _, _ = _el_field(u, eps, L)
+    return ScalarField(u.grid, r / (FOUR_PI * (1.0 - eps)))
 
 
 @dataclass(frozen=True)
@@ -143,45 +159,27 @@ class ResidualReport:
     kw_residual: np.ndarray = field(default=None, repr=False)
 
 
-def el_residual(u: ScalarField, eps: float, normalization: str = "u",
+def el_residual(u: ScalarField, eps: float,
                 L: int | None = None) -> ResidualReport:
-    """Residual of the Euler-Lagrange equation.
+    """Residual r = -Lap u - 8 pi (1-eps)(exp(2u)/mass - 1/(4 pi)) of the
+    Euler-Lagrange equation; its zero integral is asserted on every call.
 
-    normalization "u": r = -Lap u - 8 pi (1-eps)(exp(2u)/mass - 1/(4 pi)).
-    normalization "v": the input is the mass-normalized field v = 2u - ln mass
-    and r = -Lap v - 16 pi (1-eps)(exp(v) - 1/(4 pi)).
-
-    Both sides of the equation integrate to zero; that is asserted on
-    every evaluation (for "v" only when exp(v) has unit mass, since the
-    identity presumes the normalization).
+    kw_residual: Kazdan-Warner defects of Lap v + h exp(v) = c for
+    v = 2u - ln mass, h = 16 pi (1-eps), c = 4 (1-eps).  h is constant, so
+    they are -(2 - c) h avg(exp(v) x_i) = 8 (1-2 eps)(1-eps) mhat_i with
+    mhat_i = int exp(2u) x_i / mass: the zero-moment constraint, scaled,
+    identically 0 at eps = 1/2 (Kazdan & Warner, Ann. Math. 1974; Chang &
+    Yang, Acta Math. 1987).  They do not test the equation (r does) or
+    the general-h identity (kazdan_warner_residual).
     """
     grid = u.grid
-    if normalization == "u":
-        e2u = _exp2u_values(grid, u.values)
-        mass = integrate_values(grid, e2u)
-        r = (-_laplacian_values(u, L)
-             - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI))
-        check_zero_integral = True
-        v_field = ScalarField(grid, 2.0 * u.values - np.log(mass))
-    elif normalization == "v":
-        ev = _exp2u_values(grid, 0.5 * u.values)
-        r = (-_laplacian_values(u, L)
-             - 16.0 * np.pi * (1.0 - eps) * (ev - 1.0 / FOUR_PI))
-        check_zero_integral = abs(integrate_values(grid, ev) - 1.0) < 1e-9
-        v_field = u
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-
+    r, e2u, mass = _el_field(u, eps, L)
     norm = float(np.sqrt(integrate_values(grid, r * r)))
-    if check_zero_integral:
-        total = integrate_values(grid, r)
-        if abs(total) > 1e-9 * max(1.0, norm):
-            raise InvariantViolation(
-                f"EL residual integral {total:.3e} is not zero")
-    kw = kazdan_warner_residual(
-        v_field,
-        h=ScalarField(grid, np.full_like(u.values, 16.0 * np.pi * (1.0 - eps))),
-        c=4.0 * (1.0 - eps))
+    total = integrate_values(grid, r)
+    if abs(total) > 1e-9 * max(1.0, norm):
+        raise InvariantViolation(
+            f"EL residual integral {total:.3e} is not zero")
+    kw = 8.0 * (1.0 - 2.0 * eps) * (1.0 - eps) * (_moments(grid, e2u) / mass)
     return ResidualReport(el_residual_field=ScalarField(grid, r),
                           el_residual_norm=norm, kw_residual=kw)
 

@@ -186,7 +186,8 @@ def build_grid(n_theta: int, n_phi: int) -> SphericalGrid:
 class ScalarField:
     """Real values of a function sampled on a SphericalGrid.
 
-    values has shape (n_theta, n_phi) and must be finite everywhere; the
+    values must have shape (n_theta, n_phi) exactly (GridSizeError
+    otherwise; nothing is reshaped) and be finite everywhere; the
     constructor rejects NaN/Inf so no downstream operation ever sees one.
     """
 
@@ -197,11 +198,8 @@ class ScalarField:
         vals = np.asarray(self.values, dtype=float)
         expected = (self.grid.n_theta, self.grid.n_phi)
         if vals.shape != expected:
-            if vals.size == self.grid.n_nodes:
-                vals = vals.reshape(expected)
-            else:
-                raise NonFiniteFieldError(
-                    f"field shape {vals.shape} does not match grid {expected}")
+            raise GridSizeError(
+                f"field shape {vals.shape} does not match grid {expected}")
         if not np.all(np.isfinite(vals)):
             bad = np.argwhere(~np.isfinite(vals))[0]
             raise NonFiniteFieldError(

@@ -165,20 +165,19 @@ def test_el_residual_linearization_for_small_fields(grid_default):
     assert diff_norm <= 0.05 * res.el_residual_norm  # mismatch is second order
 
 
-def test_el_residual_v_normalization(grid_default):
-    # v = 2u - ln mass turns the equation into its unit-mass form with
-    # exactly twice the residual field
-    from sphere_mt import integrate, pointwise_map
-    eps = 0.2
-    u = random_field(grid_default, seed=6)
-    mass = integrate(pointwise_map(u, lambda x: np.exp(2.0 * x)))
-    v = ScalarField(grid_default, 2.0 * u.values - np.log(mass))
-    res_u = el_residual(u, eps)
-    res_v = el_residual(v, eps, normalization="v")
-    diff = res_v.el_residual_field.values - 2.0 * res_u.el_residual_field.values
-    # the two runs analyze different bit patterns, so the degree-62
-    # Laplacian noise floor (~eps * l(l+1) * sqrt(modes)) applies
-    assert np.max(np.abs(diff)) <= 1e-8
+def test_el_residual_kw_is_the_constant_h_identity(grid_default):
+    # h = 16 pi (1-eps) is constant, so the closed form must match the
+    # general-h defects of v = 2u - ln mass; at eps = 1/2 it is exactly 0
+    for seed, eps in enumerate((0.05, 0.25, 0.4)):
+        u = random_field(grid_default, L=12, seed=20 + seed)
+        v = ScalarField(grid_default, 2.0 * u.values - np.log(evaluate(u).mass))
+        h = constant_field(grid_default, 16.0 * np.pi * (1.0 - eps))
+        ref = kazdan_warner_residual(v, h, c=4.0 * (1.0 - eps))
+        assert np.max(np.abs(ref)) > 1e-3  # the moments are not zero
+        kw = el_residual(u, eps).kw_residual
+        assert np.max(np.abs(kw - ref)) <= 1e-10
+    w = mobius_factor(MobiusMap(NORTH, 3.0), grid_default)
+    assert np.all(el_residual(w, 0.5).kw_residual == 0.0)
 
 
 # --------------------------------------------------------- Kazdan-Warner
@@ -195,6 +194,22 @@ def test_kw_zero_on_curvature_solution(grid_default):
     v = ScalarField(grid_default, 2.0 * w.values)
     r = kazdan_warner_residual(v, constant_field(grid_default, 2.0), c=2.0)
     assert np.max(np.abs(r)) <= 1e-10
+
+
+def test_kw_zero_on_manufactured_general_h_solution():
+    # h = (c - Lap v) exp(-v) makes a band-limited v solve
+    # Lap v + h exp(v) = c with a non-constant h; tilting h by 0.1 x3
+    # breaks the equation and must show in the defects
+    from sphere_mt import analyze, laplacian
+    grid = build_grid(96, 192)
+    v = random_field(grid, L=8, scale=0.3, seed=9)
+    lap_v = synthesize(laplacian(analyze(v, 8)), grid).values
+    for c in (1.0, 2.0, 3.0):
+        h = (c - lap_v) * np.exp(-v.values)
+        r = kazdan_warner_residual(v, ScalarField(grid, h), c)
+        assert np.max(np.abs(r)) <= 1e-11
+        tilted = ScalarField(grid, h + 0.1 * grid.xyz[:, :, 2])
+        assert np.max(np.abs(kazdan_warner_residual(v, tilted, c))) >= 1e-2
 
 
 def test_kw_nontrivial_value(grid_default):

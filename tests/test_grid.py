@@ -117,8 +117,10 @@ def test_scalar_field_rejects_nan(grid_small):
     vals[3, 5] = np.nan
     with pytest.raises(NonFiniteFieldError):
         ScalarField(grid_small, vals)
-    with pytest.raises(NonFiniteFieldError):
+    with pytest.raises(GridSizeError):
         ScalarField(grid_small, np.zeros((5, 5)))
+    with pytest.raises(GridSizeError):  # same node count, transposed
+        ScalarField(grid_small, np.zeros((grid_small.n_phi, grid_small.n_theta)))
 
 
 def test_pointwise_map_basics(grid_small):
