@@ -22,8 +22,7 @@ from .grid import (FOUR_PI, ScalarField, SphericalGrid, average, build_grid,
                    constant_field, coordinate_fields, integrate,
                    pointwise_map)
 from .harmonics import (HarmonicSpectrum, analyze, dirichlet_energy,
-                        laplacian, max_degree, sobolev_precondition,
-                        synthesize)
+                        laplacian, max_degree, synthesize)
 from .conformal import (BubblePairField, MobiusMap, bubble_mass, bubble_pair,
                         green_two_pole, green_two_pole_value, max_bubble_t,
                         mobius_factor, mobius_pullback, planar_bubble)

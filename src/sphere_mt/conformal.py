@@ -20,7 +20,6 @@ from scipy.interpolate import RectBivariateSpline
 
 from .errors import ResolutionError
 from .grid import ScalarField, SphericalGrid
-from . import harmonics
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -128,15 +127,12 @@ def _padded_spline(u: ScalarField, order: int = 5, pad: int = 6):
     return RectBivariateSpline(theta_ext, phi_ext, ext, kx=kx, ky=ky)
 
 
-def mobius_pullback(u: ScalarField, map: MobiusMap,
-                    method: str = "spline") -> ScalarField:
+def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
     """Conformal pullback T u = u o phi_map + w_map.
 
-    Preserves integrate(exp(2u)).  Composition is evaluated either by
-    quintic spline interpolation on the periodic grid ("spline", the
-    default; cubic misses the 1e-8 mass-preservation contract at the
-    default grid) or by exact spectral resampling of the band-limited
-    content ("spectral").
+    Preserves integrate(exp(2u)).  Composition is evaluated by quintic
+    spline interpolation on the periodic grid (cubic misses the 1e-8
+    mass-preservation contract at the default grid).
     """
     grid = u.grid
     _check_t(grid, map.t)
@@ -146,17 +142,8 @@ def mobius_pullback(u: ScalarField, map: MobiusMap,
     z = np.clip(target[:, :, 2], -1.0, 1.0)
     theta_p = np.arccos(z)
     phi_p = np.mod(np.arctan2(target[:, :, 1], target[:, :, 0]), 2.0 * np.pi)
-
-    if method == "spline":
-        spline = _padded_spline(u)
-        composed = spline.ev(theta_p.ravel(), phi_p.ravel()).reshape(u.values.shape)
-    elif method == "spectral":
-        spec = harmonics.analyze(u, harmonics.max_degree(grid))
-        composed = harmonics.evaluate_at_points(
-            spec, theta_p, phi_p).reshape(u.values.shape)
-    else:
-        raise ValueError(f"unknown pullback method {method!r}")
-
+    spline = _padded_spline(u)
+    composed = spline.ev(theta_p.ravel(), phi_p.ravel()).reshape(u.values.shape)
     w = mobius_factor(map, grid)
     return ScalarField(grid, composed + w.values)
 

@@ -218,8 +218,3 @@ def dirichlet_energy(s: HarmonicSpectrum) -> float:
     l = degrees(s.L)
     return float(np.sum(l * (l + 1.0) * s.coeff ** 2))
 
-
-def sobolev_precondition(s: HarmonicSpectrum) -> HarmonicSpectrum:
-    """Apply (1 - Laplacian)^{-1} spectrally: divide c_lm by 1 + l(l+1)."""
-    l = degrees(s.L)
-    return HarmonicSpectrum(L=s.L, coeff=s.coeff / (1.0 + l * (l + 1.0)))

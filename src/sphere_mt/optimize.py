@@ -9,6 +9,10 @@ for every eps > 0).  Inner iterations descend along the Sobolev-
 preconditioned gradient with Armijo backtracking; blow-up is detected
 operationally from iterate max and mass thresholds and reported as a
 status, never raised.
+
+The penalty schedule (MU0, MU_GROWTH) and the blow-up thresholds
+(MAX_U_THRESHOLD, MASS_THRESHOLD) are module constants, not
+MinimizeConfig options: every run uses the one value of each.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from .grid import FOUR_PI, ScalarField, build_grid, integrate_values
 ARMIJO_C1 = 1e-4
 ARMIJO_BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
+MU0 = 10.0
+MU_GROWTH = 4.0
+MAX_U_THRESHOLD = 30.0
+MASS_THRESHOLD = 1e12
 
 STATUS_CONVERGED = "converged"
 STATUS_BLOWUP = "blowup_detected"
@@ -41,8 +49,6 @@ class MinimizeConfig:
     n_phi: int = 96
     tol_grad: float = 1e-8
     tol_constraint: float = 1e-8
-    mu0: float = 10.0
-    mu_growth: float = 4.0
     max_outer: int = 30
     max_inner: int = 400
     init_kind: str = "zero"  # zero | random | bubble_pair | file
@@ -50,16 +56,12 @@ class MinimizeConfig:
     init_scale: float = 0.1
     init_t: float = 2.0
     init_path: str | None = None
-    max_u_threshold: float = 30.0
-    mass_threshold: float = 1e12
 
     def __post_init__(self):
         if not (0.0 <= self.eps < 0.5):
             raise ValueError(f"eps={self.eps} outside [0, 1/2)")
         if self.tol_grad <= 0 or self.tol_constraint <= 0:
             raise ValueError("tolerances must be positive")
-        if self.mu0 <= 0 or self.mu_growth <= 1:
-            raise ValueError("penalty parameters must satisfy mu0 > 0, growth > 1")
         if self.init_kind not in ("zero", "random", "bubble_pair", "file"):
             raise ValueError(f"unknown init kind {self.init_kind!r}")
 
@@ -127,7 +129,8 @@ class _Workspace:
 
     def state(self, coeff: np.ndarray) -> dict | None:
         """Evaluate everything at a spectral point; None if exp overflows."""
-        u = self.synth(coeff)
+        spec = harmonics.HarmonicSpectrum(L=self.L, coeff=coeff)
+        u = harmonics.synthesize(spec, self.grid).values
         try:
             e2u = _exp2u_values(self.grid, u)
         except RangeOverflowError:
@@ -142,7 +145,7 @@ class _Workspace:
         moments = np.array([integrate_values(self.grid, em1 * x)
                             for x in self.x_fields])
         mhat = moments / mass
-        ags = float(np.sum(self.ll1 * coeff ** 2)) / FOUR_PI
+        ags = harmonics.dirichlet_energy(spec) / FOUR_PI
         log_avg_exp = float(np.log1p(excess / FOUR_PI))
         return {"u": u, "e2u": e2u, "mass": mass, "mhat": mhat,
                 "ags": ags, "log_avg_exp": log_avg_exp,
@@ -176,56 +179,52 @@ class _Workspace:
         return ghat
 
     def check_blowup(self, st: dict):
-        if (st["max_u"] > self.config.max_u_threshold
-                or st["mass"] > self.config.mass_threshold):
+        if st["max_u"] > MAX_U_THRESHOLD or st["mass"] > MASS_THRESHOLD:
             raise _Blowup
 
 
 def _initial_coeff(ws: _Workspace, config: MinimizeConfig) -> np.ndarray:
+    """Start coefficients before minimize() fixes the mean-zero gauge."""
     n = (config.L + 1) ** 2
     if config.init_kind == "zero":
         return np.zeros(n)
     if config.init_kind == "random":
         rng = np.random.default_rng(config.init_seed)
-        c = config.init_scale * rng.standard_normal(n)
-        c[0] = 0.0
-        return c
+        return config.init_scale * rng.standard_normal(n)
     if config.init_kind == "bubble_pair":
-        pair = conformal.bubble_pair(config.init_t, ws.grid)
-        c = harmonics.analyze(pair.field, config.L).coeff.copy()
-        c[0] = 0.0  # mean-zero gauge
-        return c
-    if config.init_kind == "file":
-        from .io import read_field
+        f = conformal.bubble_pair(config.init_t, ws.grid).field
+    else:
+        from .io import read_field  # lazy: keeps io out of sphere_mt.__all__
         f = read_field(config.init_path)
         if f.grid != ws.grid:
             raise ValueError(
                 f"init field grid ({f.grid.n_theta}, {f.grid.n_phi}) does not "
                 f"match run grid ({ws.grid.n_theta}, {ws.grid.n_phi})")
-        c = harmonics.analyze(f, config.L).coeff.copy()
-        c[0] = 0.0
-        return c
-    raise ValueError(config.init_kind)
+    return harmonics.analyze(f, config.L).coeff
 
 
-def _blowup_result(ws, coeff, lam, trace) -> MinimizeResult:
-    u_star = ScalarField(ws.grid, ws.synth(coeff))
-    value = viol = resid = None
-    kw = None
-    st = ws.state(coeff)
-    if st is not None and st["mass"] < np.inf:
+def _trace_entry(ws, outer, st, lam, mu, grad_norm=None, inner_iters=0,
+                 stop_reason=None) -> TraceEntry:
+    return TraceEntry(
+        outer=outer, value=ws.value(st), objective=ws.objective(st, lam, mu),
+        violation=float(np.max(np.abs(st["mhat"]))), grad_norm=grad_norm,
+        max_u=st["max_u"], mass=st["mass"], mu=mu, inner_iters=inner_iters,
+        stop_reason=stop_reason)
+
+
+def _result(ws, coeff, st, multipliers, trace, status) -> MinimizeResult:
+    """The run's result at coeff; st is its state, None if exp overflowed."""
+    u_star = ScalarField(ws.grid, ws.synth(coeff) if st is None else st["u"])
+    value = viol = resid = kw = None
+    if st is not None:
         value = ws.value(st)
         viol = float(np.max(np.abs(st["mhat"])))
-        try:
-            rep = el_residual(u_star, ws.config.eps)
-            resid = rep.el_residual_norm
-            kw = rep.kw_residual
-        except RangeOverflowError:
-            pass
+        rep = el_residual(u_star, ws.config.eps)
+        resid, kw = rep.el_residual_norm, rep.kw_residual
     return MinimizeResult(
-        u_star=u_star, value=value, multipliers=lam.copy(),
+        u_star=u_star, value=value, multipliers=multipliers,
         constraint_violation=viol, el_residual_norm=resid, kw_residual=kw,
-        trace=tuple(trace), status=STATUS_BLOWUP, eps=ws.config.eps,
+        trace=tuple(trace), status=status, eps=ws.config.eps,
         coeff=coeff.copy())
 
 
@@ -240,19 +239,19 @@ def minimize(config: MinimizeConfig,
     Inner iterations take Armijo steps along the negative Sobolev-
     preconditioned gradient until the preconditioned gradient norm falls
     below tol_grad.  Returns converged / blowup_detected / iteration_cap;
-    evaluation overflow becomes blowup_detected.
+    evaluation overflow becomes blowup_detected.  The start is
+    initial_coeff if given (the caller's array is not modified), else the
+    one config.init_kind describes; its constant mode is set to zero.
     """
     ws = _Workspace(config)
-    if initial_coeff is not None:
-        coeff = np.asarray(initial_coeff, dtype=float).copy()
-        if coeff.shape != ((config.L + 1) ** 2,):
-            raise ValueError("initial coefficient vector has wrong length")
-        coeff[0] = 0.0
-    else:
-        coeff = _initial_coeff(ws, config)
+    start = _initial_coeff(ws, config) if initial_coeff is None else initial_coeff
+    coeff = np.array(start, dtype=float)
+    if coeff.shape != ((config.L + 1) ** 2,):
+        raise ValueError("initial coefficient vector has wrong length")
+    coeff[0] = 0.0  # mean-zero gauge
 
     lam = np.zeros(3)
-    mu = config.mu0
+    mu = MU0
     trace: list[TraceEntry] = []
 
     st = ws.state(coeff)
@@ -261,7 +260,7 @@ def minimize(config: MinimizeConfig,
                                 violation=None, grad_norm=None,
                                 max_u=float(ws.synth(coeff).max()), mass=None,
                                 mu=mu, inner_iters=0))
-        return _blowup_result(ws, coeff, lam, trace)
+        return _result(ws, coeff, None, lam, trace, STATUS_BLOWUP)
 
     status = STATUS_CAP
     prev_viol = np.inf
@@ -304,44 +303,23 @@ def minimize(config: MinimizeConfig,
                 ghat = ws.gradient(coeff, st, lam, mu)
                 pnorm = float(np.sqrt(np.sum(ghat * ghat * ws.precond)))
 
-            viol = float(np.max(np.abs(st["mhat"])))
-            trace.append(TraceEntry(
-                outer=outer, value=ws.value(st), objective=f_cur,
-                violation=viol, grad_norm=pnorm, max_u=st["max_u"],
-                mass=st["mass"], mu=mu, inner_iters=inner_iters,
-                stop_reason=stop_reason))
-
+            entry = _trace_entry(ws, outer, st, lam, mu, pnorm, inner_iters,
+                                 stop_reason)
+            trace.append(entry)
+            viol = entry.violation
             if viol <= config.tol_constraint and pnorm <= config.tol_grad:
                 status = STATUS_CONVERGED
                 break
 
             lam = lam + mu * st["mhat"]
             if viol > config.tol_constraint and viol > prev_viol / 4.0:
-                mu *= config.mu_growth
+                mu *= MU_GROWTH
             prev_viol = viol
     except _Blowup:
-        viol = float(np.max(np.abs(st["mhat"])))
-        trace.append(TraceEntry(
-            outer=len(trace), value=ws.value(st),
-            objective=ws.objective(st, lam, mu), violation=viol,
-            grad_norm=None, max_u=st["max_u"], mass=st["mass"],
-            mu=mu, inner_iters=0))
-        return _blowup_result(ws, coeff, lam, trace)
+        trace.append(_trace_entry(ws, len(trace), st, lam, mu))
+        return _result(ws, coeff, st, lam, trace, STATUS_BLOWUP)
 
-    u_star = ScalarField(ws.grid, st["u"])
-    rep = el_residual(u_star, config.eps)
-    multipliers = lam + mu * st["mhat"]
-    return MinimizeResult(
-        u_star=u_star,
-        value=ws.value(st),
-        multipliers=multipliers,
-        constraint_violation=float(np.max(np.abs(st["mhat"]))),
-        el_residual_norm=rep.el_residual_norm,
-        kw_residual=rep.kw_residual,
-        trace=tuple(trace),
-        status=status,
-        eps=config.eps,
-        coeff=coeff.copy())
+    return _result(ws, coeff, st, lam + mu * st["mhat"], trace, status)
 
 
 @dataclass(frozen=True)
@@ -376,10 +354,10 @@ def continuation(eps_list, base: MinimizeConfig) -> ContinuationResult:
         config = replace(base, eps=eps)
         res = minimize(config, initial_coeff=warm)
         results.append(res)
-        if res.coeff is not None and res.status != STATUS_BLOWUP:
+        if res.status != STATUS_BLOWUP:
             warm = res.coeff
 
-    masses = tuple(r.trace[-1].mass if r.trace else None for r in results)
+    masses = tuple(r.trace[-1].mass for r in results)
     statuses = tuple(r.status for r in results)
     if any(s == STATUS_BLOWUP for s in statuses):
         classification = "blowing_up"
@@ -393,5 +371,5 @@ def continuation(eps_list, base: MinimizeConfig) -> ContinuationResult:
         classification = "inconclusive"
     return ContinuationResult(
         results=tuple(results), eps_list=tuple(eps_list), masses=masses,
-        max_values=tuple(r.trace[-1].max_u if r.trace else None for r in results),
+        max_values=tuple(r.trace[-1].max_u for r in results),
         statuses=statuses, classification=classification)

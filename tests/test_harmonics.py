@@ -4,9 +4,8 @@ from scipy.special import sph_legendre_p
 
 from sphere_mt import (FOUR_PI, HarmonicSpectrum, ResolutionError,
                        ScalarField, analyze, build_grid, dirichlet_energy,
-                       integrate, laplacian, max_degree,
-                       sobolev_precondition, synthesize)
-from sphere_mt.harmonics import degrees, evaluate_at_points, flat_index
+                       integrate, laplacian, max_degree, synthesize)
+from sphere_mt.harmonics import evaluate_at_points, flat_index
 from sphere_mt.conformal import MobiusMap, NORTH, mobius_factor
 
 
@@ -161,17 +160,6 @@ def test_dirichlet_energy_properties(grid_default):
     lap = synthesize(laplacian(s), grid_default)
     quad = -integrate(ScalarField(grid_default, f.values * lap.values))
     assert dirichlet_energy(s) == pytest.approx(quad, rel=1e-9)
-
-
-def test_sobolev_precondition():
-    L = 4
-    c = np.ones((L + 1) ** 2)
-    s = sobolev_precondition(HarmonicSpectrum(L=L, coeff=c))
-    assert s[(0, 0)] == pytest.approx(1.0)
-    assert s[(1, 0)] == pytest.approx(1.0 / 3.0)
-    ld = degrees(L)
-    undone = s.coeff * (1.0 + ld * (ld + 1.0))
-    assert np.max(np.abs(undone - c)) <= 1e-14
 
 
 def test_anti_aliasing_bound(grid_small):

@@ -7,8 +7,8 @@ from sphere_mt import (FOUR_PI, ContinuationResult, MinimizeConfig, average,
                        continuation, minimize)
 from sphere_mt.harmonics import flat_index
 from sphere_mt.io import to_jsonable
-from sphere_mt.optimize import (STATUS_BLOWUP, STATUS_CAP, STATUS_CONVERGED,
-                                _Workspace)
+from sphere_mt.optimize import (MASS_THRESHOLD, MU0, STATUS_BLOWUP,
+                                STATUS_CAP, STATUS_CONVERGED, _Workspace)
 
 
 def test_config_validation():
@@ -84,7 +84,7 @@ def test_inner_steps_decrease_the_augmented_objective():
     from sphere_mt.optimize import _initial_coeff
     coeff = _initial_coeff(ws, config)
     lam = np.zeros(3)
-    mu = config.mu0
+    mu = MU0
     st = ws.state(coeff)
     f_prev = ws.objective(st, lam, mu)
     objectives = [f_prev]
@@ -125,6 +125,35 @@ def test_blowup_detector_fires_on_huge_init():
     # serialized form is valid strict JSON (no NaN/Infinity)
     text = json.dumps(to_jsonable(res), allow_nan=False)
     assert "NaN" not in text
+
+
+def test_blowup_detector_reports_the_finite_state_it_stopped_at():
+    # at scale 1 exp(2u) stays finite but its mass is past MASS_THRESHOLD
+    # (max u is only ~21.5), so the detector fires on a finite state and
+    # the report is built from it
+    res = minimize(MinimizeConfig(eps=0.25, L=16, init_kind="random",
+                                  init_seed=3, init_scale=1.0))
+    assert res.status == STATUS_BLOWUP
+    last = res.trace[-1]
+    assert res.value is not None and res.value == last.value
+    assert res.constraint_violation == last.violation
+    assert res.u_star.max() == last.max_u
+    assert last.mass > MASS_THRESHOLD
+    assert np.isfinite(res.el_residual_norm)
+    assert np.array_equal(res.multipliers, np.zeros(3))
+    json.dumps(to_jsonable(res), allow_nan=False)
+
+
+def test_supplied_start_is_gauge_fixed_and_left_unchanged():
+    config = MinimizeConfig(eps=0.25, L=8, max_outer=2, max_inner=5)
+    start = 0.05 * np.random.default_rng(8).standard_normal(81)
+    start[0] = 0.7
+    before = start.copy()
+    res = minimize(config, initial_coeff=start)
+    assert res.coeff[0] == 0.0
+    assert np.array_equal(start, before)
+    with pytest.raises(ValueError):
+        minimize(config, initial_coeff=np.zeros(80))
 
 
 def test_gauge_is_exact():
