@@ -33,4 +33,20 @@ from .functional import (OBSTRUCTION_CONSTANT, ExpansionReport,
 from .optimize import (ContinuationResult, MinimizeConfig, MinimizeResult,
                        continuation, minimize)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "FormatError", "GridSizeError", "InvariantViolation",
+    "NonFiniteFieldError", "RangeOverflowError", "ResolutionError",
+    "SphereMTError",
+    "FOUR_PI", "ScalarField", "SphericalGrid", "average", "build_grid",
+    "constant_field", "coordinate_fields", "integrate", "pointwise_map",
+    "HarmonicSpectrum", "analyze", "dirichlet_energy", "laplacian",
+    "max_degree", "synthesize",
+    "BubblePairField", "MobiusMap", "bubble_mass", "bubble_pair",
+    "green_two_pole", "green_two_pole_value", "max_bubble_t",
+    "mobius_factor", "mobius_pullback", "planar_bubble",
+    "OBSTRUCTION_CONSTANT", "ExpansionReport", "FunctionalReport",
+    "ResidualReport", "el_residual", "energy_expansion_report", "evaluate",
+    "kazdan_warner_residual", "l2_gradient",
+    "ContinuationResult", "MinimizeConfig", "MinimizeResult",
+    "continuation", "minimize",
+]

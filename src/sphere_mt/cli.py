@@ -74,9 +74,9 @@ def default_grid_sizes() -> tuple[int, int]:
 
 def _resolve_grid(args) -> tuple[int, int]:
     nt, np_ = default_grid_sizes()
-    if getattr(args, "n_theta", None):
+    if getattr(args, "n_theta", None) is not None:
         nt = args.n_theta
-    if getattr(args, "n_phi", None):
+    if getattr(args, "n_phi", None) is not None:
         np_ = args.n_phi
     return nt, np_
 

@@ -15,8 +15,10 @@ takes its Kazdan-Warner defects in closed form (the curvature is
 constant): a scaled zero-moment constraint, identically 0 at eps = 1/2,
 not a test of the equation; kazdan_warner_residual is the general-h one.
 
-All exponentials are evaluated pointwise on the grid; overflow is a
-first-class blow-up signal (RangeOverflowError), never a crash.
+One private kernel, _exp2u, gives evaluate, the EL residual, the
+gradient, kazdan_warner_residual and the optimizer every exp(2u)
+integral, with a log-average accurate at both ends of the mass.
+Overflow is a first-class blow-up signal (RangeOverflowError), never a crash.
 """
 
 from __future__ import annotations
@@ -38,7 +40,15 @@ EXP_LIMIT = 700.0
 OBSTRUCTION_CONSTANT = 1.0 - np.log(2.0)
 
 
-def _exp2u_values(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
+def _exp2u(grid: SphericalGrid, u: np.ndarray):
+    """The one exp(2u) kernel: (e2u, mass, moments, log_avg_exp), with
+    moments_i = int exp(2u) x_i and log_avg_exp = ln(mass / 4 pi).
+
+    While mass >= 2 pi, log_avg_exp is log1p(int expm1(2u) / 4 pi):
+    near u = 0, ln(mass / 4 pi) has only ~1e-16 absolute accuracy.  Below
+    2 pi it is ln(mass / 4 pi): where exp(2u) << 1, expm1(2u) rounds to
+    -1 and the excess mass cancels.
+    """
     two_u = 2.0 * u
     peak = float(two_u.max())
     if peak > EXP_LIMIT:
@@ -48,13 +58,16 @@ def _exp2u_values(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
             f"exp(2u) overflows: max u = {u.max():.6g} at node "
             f"(theta={grid.theta[jt]:.6f}, phi={grid.phi[jp]:.6f})",
             max_value=u.max(), node=(int(jt), int(jp)))
-    return np.exp(two_u)
-
-
-def _moments(grid: SphericalGrid, e2u: np.ndarray) -> np.ndarray:
-    """The first moments int exp(2u) x_i, i = 1, 2, 3."""
-    return np.array([integrate_values(grid, e2u * grid.xyz[:, :, i])
-                     for i in range(3)])
+    e2u = np.exp(two_u)
+    mass = integrate_values(grid, e2u)
+    moments = np.array([integrate_values(grid, e2u * grid.xyz[:, :, i])
+                        for i in range(3)])
+    if mass >= 0.5 * FOUR_PI:
+        log_avg_exp = float(np.log1p(
+            integrate_values(grid, np.expm1(two_u)) / FOUR_PI))
+    else:
+        log_avg_exp = float(np.log(mass / FOUR_PI))
+    return e2u, mass, moments, log_avg_exp
 
 
 def _laplacian_values(u: ScalarField, L: int | None = None) -> np.ndarray:
@@ -99,13 +112,10 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     the grid's anti-aliasing bound); exp(2u) terms are pointwise.
     """
     grid = u.grid
-    e2u = _exp2u_values(grid, u.values)
-    mass = integrate_values(grid, e2u)
-    moments = _moments(grid, e2u)
+    _, mass, moments, log_avg_exp = _exp2u(grid, u.values)
     spec = harmonics.analyze(u, harmonics.max_degree(grid) if L is None else L)
     avg_grad_sq = harmonics.dirichlet_energy(spec) / FOUR_PI
     avg_u = average(u)
-    log_avg_exp = float(np.log(mass / FOUR_PI))
 
     report = FunctionalReport(
         avg_grad_sq=avg_grad_sq,
@@ -129,12 +139,11 @@ def evaluate(u: ScalarField, alpha: float | None = None,
 
 def _el_field(u: ScalarField, eps: float, L: int | None = None):
     """The Euler-Lagrange residual r = -Lap u - 8 pi (1-eps)(exp(2u)/mass
-    - 1/(4 pi)) as values, with the exp(2u) values and mass it used."""
-    e2u = _exp2u_values(u.grid, u.values)
-    mass = integrate_values(u.grid, e2u)
+    - 1/(4 pi)) as values, with the mass and moments it used."""
+    e2u, mass, moments, _ = _exp2u(u.grid, u.values)
     r = (-_laplacian_values(u, L)
          - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI))
-    return r, e2u, mass
+    return r, mass, moments
 
 
 def l2_gradient(u: ScalarField, eps: float, L: int | None = None) -> ScalarField:
@@ -173,13 +182,13 @@ def el_residual(u: ScalarField, eps: float,
     the general-h identity (kazdan_warner_residual).
     """
     grid = u.grid
-    r, e2u, mass = _el_field(u, eps, L)
+    r, mass, moments = _el_field(u, eps, L)
     norm = float(np.sqrt(integrate_values(grid, r * r)))
     total = integrate_values(grid, r)
     if abs(total) > 1e-9 * max(1.0, norm):
         raise InvariantViolation(
             f"EL residual integral {total:.3e} is not zero")
-    kw = 8.0 * (1.0 - 2.0 * eps) * (1.0 - eps) * (_moments(grid, e2u) / mass)
+    kw = 8.0 * (1.0 - 2.0 * eps) * (1.0 - eps) * (moments / mass)
     return ResidualReport(el_residual_field=ScalarField(grid, r),
                           el_residual_norm=norm, kw_residual=kw)
 
@@ -193,7 +202,7 @@ def kazdan_warner_residual(v: ScalarField, h: ScalarField, c: float) -> np.ndarr
     (1/2)[Lap(h x_i) - x_i Lap h + 2 h x_i], using Lap x_i = -2 x_i.
     """
     grid = v.grid
-    ev = _exp2u_values(grid, 0.5 * v.values)
+    ev = _exp2u(grid, 0.5 * v.values)[0]
     L = harmonics.max_degree(grid)
     lap_h = _laplacian_values(h, L)
     out = np.empty(3)

@@ -66,7 +66,12 @@ def write_field(path, field: ScalarField, params: dict | None = None,
 
 
 def read_field(path) -> ScalarField:
-    """Load a FieldFile, rebuilding its grid from the header shape."""
+    """Load a FieldFile, rebuilding its grid from the header shape.
+
+    The grid is built anew, uncached, on every read: a tall rule pays a
+    full Gauss-Legendre build each time, and no grid is shared between
+    callers.
+    """
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
     if newline < 0:

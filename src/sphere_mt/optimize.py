@@ -23,8 +23,9 @@ import numpy as np
 
 from . import conformal, harmonics
 from .errors import RangeOverflowError, ResolutionError
-from .functional import _exp2u_values, el_residual
-from .grid import FOUR_PI, ScalarField, build_grid, integrate_values
+from .functional import _exp2u, el_residual
+from .grid import FOUR_PI, ScalarField, build_grid
+from .io import read_field
 
 ARMIJO_C1 = 1e-4
 ARMIJO_BACKTRACK = 0.5
@@ -121,7 +122,6 @@ class _Workspace:
         ld = harmonics.degrees(self.L)
         self.ll1 = ld * (ld + 1.0)
         self.precond = 1.0 / (1.0 + self.ll1)
-        self.x_fields = [self.grid.xyz[:, :, i] for i in range(3)]
 
     def synth(self, coeff: np.ndarray) -> np.ndarray:
         spec = harmonics.HarmonicSpectrum(L=self.L, coeff=coeff)
@@ -132,22 +132,11 @@ class _Workspace:
         spec = harmonics.HarmonicSpectrum(L=self.L, coeff=coeff)
         u = harmonics.synthesize(spec, self.grid).values
         try:
-            e2u = _exp2u_values(self.grid, u)
+            e2u, mass, moments, log_avg_exp = _exp2u(self.grid, u)
         except RangeOverflowError:
             return None
-        # Near u = 0, log(mass / 4 pi) is only accurate to ~1e-16 absolute,
-        # which is as large as the decrease Armijo must resolve there.
-        # expm1 keeps the excess mass (and the moments, since the rule
-        # integrates x_i to zero) accurate relative to u.
-        em1 = np.expm1(2.0 * u)
-        excess = integrate_values(self.grid, em1)
-        mass = FOUR_PI + excess
-        moments = np.array([integrate_values(self.grid, em1 * x)
-                            for x in self.x_fields])
-        mhat = moments / mass
         ags = harmonics.dirichlet_energy(spec) / FOUR_PI
-        log_avg_exp = float(np.log1p(excess / FOUR_PI))
-        return {"u": u, "e2u": e2u, "mass": mass, "mhat": mhat,
+        return {"u": u, "e2u": e2u, "mass": mass, "mhat": moments / mass,
                 "ags": ags, "log_avg_exp": log_avg_exp,
                 "max_u": float(u.max())}
 
@@ -172,7 +161,7 @@ class _Workspace:
         for i in range(3):
             weight_i = lam[i] + mu * st["mhat"][i]
             if weight_i != 0.0:
-                g = g + weight_i * 2.0 * st["e2u"] * (self.x_fields[i] - st["mhat"][i]) / st["mass"]
+                g = g + weight_i * 2.0 * st["e2u"] * (self.grid.xyz[:, :, i] - st["mhat"][i]) / st["mass"]
         ghat = (harmonics.analyze(ScalarField(self.grid, g), self.L).coeff
                 + self.ll1 * coeff / (FOUR_PI * (1.0 - eps)))
         ghat[0] = 0.0
@@ -194,7 +183,6 @@ def _initial_coeff(ws: _Workspace, config: MinimizeConfig) -> np.ndarray:
     if config.init_kind == "bubble_pair":
         f = conformal.bubble_pair(config.init_t, ws.grid).field
     else:
-        from .io import read_field  # lazy: keeps io out of sphere_mt.__all__
         f = read_field(config.init_path)
         if f.grid != ws.grid:
             raise ValueError(

@@ -36,6 +36,14 @@ def test_evaluate_rejects_overflow(grid_default):
         evaluate(constant_field(grid_default, 400.0))
 
 
+def test_evaluate_keeps_low_mass_fields(grid_default):
+    # exp(2u) << 1: expm1(2u) rounds to -1 there, so 4 pi + int expm1(2u)
+    # would cancel to 0 and the log-average to -inf.
+    rep = evaluate(constant_field(grid_default, -20.0))
+    assert rep.log_avg_exp == pytest.approx(-40.0, rel=1e-14)
+    assert rep.mass == pytest.approx(FOUR_PI * np.exp(-40.0), rel=1e-14)
+
+
 def test_shift_invariance(grid_default):
     u = random_field(grid_default, seed=1)
     rep = evaluate(u, alpha=0.4, eps=0.25)

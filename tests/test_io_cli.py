@@ -139,6 +139,10 @@ def test_cli_check_passes_on_default_grid(capsys):
 def test_cli_check_rejects_unresolvable_degree(capsys):
     # anti-aliasing precondition: n_theta=2 cannot carry L=16
     assert main(["check", "--n-theta", "2", "--n-phi", "4", "--L", "16"]) == 2
+    # a grid size of 0 is rejected, not replaced by the default
+    assert main(["evaluate", "--n-theta", "0", "--n-phi", "0"]) == 2
+    assert main(["evaluate", "--n-phi", "0"]) == 2
+    assert main(["minimize", "--eps", "0.2", "--n-theta", "0"]) == 2
 
 
 def test_cli_check_reports_format_error(tmp_path):
@@ -255,3 +259,19 @@ def test_cli_grid_env_override(monkeypatch, capsys):
     assert abs(data["improved_I"]) <= 1e-13
     monkeypatch.setenv("SPHERE_MT_GRID", "bogus")
     assert main(["evaluate"]) == 2
+
+
+# ------------------------------------------------------------- package
+
+def test_package_all_lists_resolvable_non_module_names():
+    import types
+
+    import sphere_mt
+
+    assert len(set(sphere_mt.__all__)) == len(sphere_mt.__all__)
+    for name in sphere_mt.__all__:
+        assert not isinstance(getattr(sphere_mt, name), types.ModuleType), name
+    # a submodule importing io at top level must not shadow the stdlib io
+    namespace = {}
+    exec("from sphere_mt import *", namespace)
+    assert "io" not in namespace

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from sphere_mt import (FOUR_PI, ContinuationResult, MinimizeConfig, average,
-                       continuation, minimize)
+from sphere_mt import (FOUR_PI, ContinuationResult, MinimizeConfig,
+                       ScalarField, average, continuation, evaluate, minimize)
 from sphere_mt.harmonics import flat_index
 from sphere_mt.io import to_jsonable
 from sphere_mt.optimize import (MASS_THRESHOLD, MU0, STATUS_BLOWUP,
@@ -40,12 +40,15 @@ def test_zero_init_converges_at_the_feasible_stationary_point():
 @pytest.mark.parametrize("c", [1e-8, 1e-6])
 def test_state_log_avg_exp_keeps_relative_accuracy_near_zero(c):
     # u = c Y_31: log avg exp(2u) = 2 c^2 / 4pi + O(c^4).  log(mass / 4pi)
-    # only has ~1e-16 absolute accuracy, which stalled Armijo near u = 0.
+    # only has ~1e-16 absolute accuracy, which stalled Armijo near u = 0;
+    # the optimizer and evaluate share one exp(2u) kernel.
     ws = _Workspace(MinimizeConfig(eps=0.4, L=16, n_theta=64, n_phi=128))
     coeff = np.zeros(17 ** 2)
     coeff[flat_index(3, 1)] = c
     expect = 2.0 * c * c / FOUR_PI
     assert abs(ws.state(coeff)["log_avg_exp"] - expect) <= 1e-6 * expect
+    u = ScalarField(ws.grid, ws.synth(coeff))
+    assert abs(evaluate(u).log_avg_exp - expect) <= 1e-6 * expect
 
 
 def test_penalty_stops_growing_once_the_constraint_holds():
