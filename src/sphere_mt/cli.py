@@ -6,7 +6,7 @@ Exit codes are a total function of the outcome class:
     0   success
     1   invariant failure (cmd check)
     2   precondition violation (grid sizes, degrees, dilations, values)
-    3   file format error
+    3   file error (missing, unreadable or malformed)
     10  blow-up detected
     11  iteration cap reached
     64  usage error
@@ -36,7 +36,7 @@ from .io import read_field, report_json, write_csv, write_field, write_report
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_PRECONDITION = 2
-EXIT_FORMAT = 3
+EXIT_FILE = 3
 EXIT_BLOWUP = 10
 EXIT_CAP = 11
 EXIT_USAGE = 64
@@ -83,9 +83,12 @@ def _resolve_grid(args) -> tuple[int, int]:
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"cannot parse {flag} value {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------- check
@@ -167,10 +170,7 @@ def _check_suite(grid, L: int, seed: int):
 def cmd_check(args) -> int:
     nt, np_ = _resolve_grid(args)
     grid = build_grid(nt, np_)
-    if args.L > harmonics.max_degree(grid):
-        raise ResolutionError(
-            f"L={args.L} exceeds anti-aliasing bound "
-            f"{harmonics.max_degree(grid)} for grid ({nt}, {np_})")
+    harmonics._check_degree(grid, args.L)
     if args.field:
         f = read_field(args.field)
         print(f"PASS  field_file.valid            "
@@ -215,7 +215,7 @@ def cmd_evaluate(args) -> int:
 
 def sweep_grid_sizes(t_max: float, n_theta: int, n_phi: int) -> tuple[int, int]:
     """Grow the grid so the largest requested dilation stays resolvable."""
-    need = int(math.ceil(8.0 * t_max))
+    need = int(math.ceil(conformal._CORE_NODES * t_max))
     if need > n_theta:
         return need, 2 * need
     return n_theta, n_phi
@@ -236,8 +236,8 @@ def bubble_sweep_rows(t_values, alphas, grid):
 def cmd_sweep(args) -> int:
     if args.family != "bubble-pair":
         raise ValueError(f"unknown sweep family {args.family!r}")
-    if args.t_min < 1.0 or args.t_max < args.t_min:
-        raise ValueError("need 1 <= t-min <= t-max")
+    if not 1.0 <= args.t_min <= args.t_max < math.inf:
+        raise ValueError("need 1 <= t-min <= t-max < inf")
     if args.steps < 2:
         raise ValueError("need at least 2 steps")
     alphas = _parse_float_list(args.alpha_list, "--alpha-list")
@@ -269,42 +269,31 @@ def _minimize_config(args) -> optimize.MinimizeConfig:
         init_t=args.t, init_path=args.init_file)
 
 
-_STATUS_EXIT = {
-    optimize.STATUS_CONVERGED: EXIT_OK,
-    optimize.STATUS_BLOWUP: EXIT_BLOWUP,
-    optimize.STATUS_CAP: EXIT_CAP,
-}
-
-
 def cmd_minimize(args) -> int:
-    if args.continuation:
-        eps_list = _parse_float_list(args.continuation, "--continuation")
-        base = _minimize_config(args)
-        cont = optimize.continuation(eps_list, base)
-        if args.out_prefix:
-            write_report(f"{args.out_prefix}.report.json", cont)
-            for res in cont.results:
-                write_field(f"{args.out_prefix}.eps{res.eps:g}.field.bin",
-                            res.u_star, params={"eps": res.eps, "L": args.L,
-                                                "status": res.status})
-        else:
-            print(report_json(cont))
-        if any(s == optimize.STATUS_BLOWUP for s in cont.statuses):
-            return EXIT_BLOWUP
-        if all(s == optimize.STATUS_CONVERGED for s in cont.statuses):
-            return EXIT_OK
-        return EXIT_CAP
-
+    """One run (--eps) or one ladder (--continuation): one output path,
+    and the exit code of the worst status (blow-up, cap, converged)."""
     config = _minimize_config(args)
-    result = optimize.minimize(config)
-    if args.out_prefix:
-        write_report(f"{args.out_prefix}.report.json", result)
-        write_field(f"{args.out_prefix}.field.bin", result.u_star,
-                    params={"eps": result.eps, "L": config.L,
-                            "status": result.status})
+    ladder = args.continuation is not None
+    if ladder:
+        eps_list = _parse_float_list(args.continuation, "--continuation")
+        out = optimize.continuation(eps_list, config)
+        results = out.results
     else:
-        print(report_json(result))
-    return _STATUS_EXIT[result.status]
+        out = optimize.minimize(config)
+        results = (out,)
+    if args.out_prefix:
+        write_report(f"{args.out_prefix}.report.json", out)
+        for res in results:
+            tag = f".eps{res.eps:g}" if ladder else ""
+            write_field(f"{args.out_prefix}{tag}.field.bin", res.u_star,
+                        params={"eps": res.eps, "L": config.L,
+                                "status": res.status})
+    else:
+        print(report_json(out))
+    statuses = {res.status for res in results}
+    if optimize.STATUS_BLOWUP in statuses:
+        return EXIT_BLOWUP
+    return EXIT_OK if statuses == {optimize.STATUS_CONVERGED} else EXIT_CAP
 
 
 # ------------------------------------------------------------ expansion
@@ -312,8 +301,6 @@ def cmd_minimize(args) -> int:
 def cmd_expansion(args) -> int:
     r_values = _parse_float_list(args.R_list, "--R-list")
     t_values = _parse_float_list(args.t_list, "--t-list")
-    if any(r <= 0 for r in r_values):
-        raise ValueError("all radii must be positive")
     header = ["t", "R", "lambda_peak", "I1_closed", "I1_numeric",
               "I1_truncated", "truncation_gap", "D_value", "core_mass",
               "obstruction"]
@@ -419,7 +406,10 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        return EXIT_FILE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_FILE
     except (GridSizeError, ResolutionError, NonFiniteFieldError, ValueError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

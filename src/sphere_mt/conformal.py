@@ -65,7 +65,7 @@ class MobiusMap:
         p.setflags(write=False)
         object.__setattr__(self, "pole", p)
         object.__setattr__(self, "t", float(self.t))
-        if self.t < 1.0:
+        if not self.t >= 1.0:  # also rejects nan
             raise ValueError(f"dilation t={self.t} must be >= 1")
 
     @property

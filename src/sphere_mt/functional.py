@@ -70,10 +70,8 @@ def _exp2u(grid: SphericalGrid, u: np.ndarray):
     return e2u, mass, moments, log_avg_exp
 
 
-def _laplacian_values(u: ScalarField, L: int | None = None) -> np.ndarray:
-    if L is None:
-        L = harmonics.max_degree(u.grid)
-    spec = harmonics.analyze(u, L)
+def _laplacian_values(u: ScalarField) -> np.ndarray:
+    spec = harmonics.analyze(u, harmonics.max_degree(u.grid))
     return harmonics.synthesize(harmonics.laplacian(spec), u.grid).values
 
 
@@ -109,8 +107,13 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     """Populate a FunctionalReport for the field u.
 
     The Dirichlet term is computed spectrally at degree L (defaults to
-    the grid's anti-aliasing bound); exp(2u) terms are pointwise.
+    the grid's anti-aliasing bound); exp(2u) terms are pointwise.  alpha
+    must be finite and eps finite and below 1 (eps < 0 is admitted).
     """
+    if alpha is not None and not np.isfinite(alpha):
+        raise ValueError(f"alpha={alpha} is not finite")
+    if eps is not None and not (-np.inf < eps < 1.0):
+        raise ValueError(f"eps={eps} must be finite and below 1")
     grid = u.grid
     _, mass, moments, log_avg_exp = _exp2u(grid, u.values)
     spec = harmonics.analyze(u, harmonics.max_degree(grid) if L is None else L)
@@ -137,16 +140,16 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     return report
 
 
-def _el_field(u: ScalarField, eps: float, L: int | None = None):
+def _el_field(u: ScalarField, eps: float):
     """The Euler-Lagrange residual r = -Lap u - 8 pi (1-eps)(exp(2u)/mass
     - 1/(4 pi)) as values, with the mass and moments it used."""
     e2u, mass, moments, _ = _exp2u(u.grid, u.values)
-    r = (-_laplacian_values(u, L)
+    r = (-_laplacian_values(u)
          - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI))
     return r, mass, moments
 
 
-def l2_gradient(u: ScalarField, eps: float, L: int | None = None) -> ScalarField:
+def l2_gradient(u: ScalarField, eps: float) -> ScalarField:
     """L^2 gradient of the shift-invariant perturbed functional:
 
         g = -Lap u / (4 pi (1-eps)) + 1/(2 pi) - 2 exp(2u)/mass,
@@ -155,7 +158,7 @@ def l2_gradient(u: ScalarField, eps: float, L: int | None = None) -> ScalarField
     exactly on solutions of the Euler-Lagrange equation; its integral is
     zero for every u (the two constant terms balance).
     """
-    r, _, _ = _el_field(u, eps, L)
+    r, _, _ = _el_field(u, eps)
     return ScalarField(u.grid, r / (FOUR_PI * (1.0 - eps)))
 
 
@@ -168,8 +171,7 @@ class ResidualReport:
     kw_residual: np.ndarray = field(default=None, repr=False)
 
 
-def el_residual(u: ScalarField, eps: float,
-                L: int | None = None) -> ResidualReport:
+def el_residual(u: ScalarField, eps: float) -> ResidualReport:
     """Residual r = -Lap u - 8 pi (1-eps)(exp(2u)/mass - 1/(4 pi)) of the
     Euler-Lagrange equation; its zero integral is asserted on every call.
 
@@ -182,7 +184,7 @@ def el_residual(u: ScalarField, eps: float,
     the general-h identity (kazdan_warner_residual).
     """
     grid = u.grid
-    r, mass, moments = _el_field(u, eps, L)
+    r, mass, moments = _el_field(u, eps)
     norm = float(np.sqrt(integrate_values(grid, r * r)))
     total = integrate_values(grid, r)
     if abs(total) > 1e-9 * max(1.0, norm):
@@ -203,12 +205,11 @@ def kazdan_warner_residual(v: ScalarField, h: ScalarField, c: float) -> np.ndarr
     """
     grid = v.grid
     ev = _exp2u(grid, 0.5 * v.values)[0]
-    L = harmonics.max_degree(grid)
-    lap_h = _laplacian_values(h, L)
+    lap_h = _laplacian_values(h)
     out = np.empty(3)
     for i in range(3):
         xi = grid.xyz[:, :, i]
-        lap_hx = _laplacian_values(ScalarField(grid, h.values * xi), L)
+        lap_hx = _laplacian_values(ScalarField(grid, h.values * xi))
         grad_dot = 0.5 * (lap_hx - xi * lap_h + 2.0 * h.values * xi)
         lhs = integrate_values(grid, ev * grad_dot) / FOUR_PI
         rhs = integrate_values(grid, ev * h.values * xi) / FOUR_PI
@@ -246,10 +247,10 @@ class ExpansionReport:
 
 def energy_expansion_report(t: float, R: float) -> ExpansionReport:
     """Evaluate the energy-expansion diagnostics for dilation t, radius R."""
-    if R <= 0.0:
-        raise ValueError("radius R must be positive")
-    if t < 1.0:
-        raise ValueError("dilation t must be >= 1")
+    if not 0.0 < R < np.inf:
+        raise ValueError(f"radius R={R} must be finite and positive")
+    if not 1.0 <= t < np.inf:
+        raise ValueError(f"dilation t={t} must be finite and >= 1")
 
     q = 1.0 + 2.0 * np.pi * R * R
     I1_closed = 16.0 * np.pi * (np.log(q) + 1.0 / q - 1.0)

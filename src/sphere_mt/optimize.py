@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import conformal, harmonics
-from .errors import RangeOverflowError, ResolutionError
+from .errors import RangeOverflowError
 from .functional import _exp2u, el_residual
 from .grid import FOUR_PI, ScalarField, build_grid
 from .io import read_field
@@ -61,10 +61,15 @@ class MinimizeConfig:
     def __post_init__(self):
         if not (0.0 <= self.eps < 0.5):
             raise ValueError(f"eps={self.eps} outside [0, 1/2)")
-        if self.tol_grad <= 0 or self.tol_constraint <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.tol_grad < np.inf and 0.0 < self.tol_constraint < np.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if self.max_outer < 1 or self.max_inner < 0:
+            raise ValueError(f"need max_outer >= 1 and max_inner >= 0, got "
+                             f"{self.max_outer} and {self.max_inner}")
         if self.init_kind not in ("zero", "random", "bubble_pair", "file"):
             raise ValueError(f"unknown init kind {self.init_kind!r}")
+        if self.init_kind == "file" and self.init_path is None:
+            raise ValueError("init kind 'file' needs an init_path")
 
 
 @dataclass(frozen=True)
@@ -104,20 +109,13 @@ class MinimizeResult:
     coeff: np.ndarray = field(default=None, repr=False)
 
 
-class _Blowup(Exception):
-    """Internal signal; converted to a result, never escapes minimize()."""
-
-
 class _Workspace:
     """Per-run precomputed tables and evaluation helpers."""
 
     def __init__(self, config: MinimizeConfig):
         self.config = config
         self.grid = build_grid(config.n_theta, config.n_phi)
-        limit = harmonics.max_degree(self.grid)
-        if config.L > limit:
-            raise ResolutionError(
-                f"search degree L={config.L} exceeds grid bound {limit}")
+        harmonics._check_degree(self.grid, config.L)
         self.L = config.L
         ld = harmonics.degrees(self.L)
         self.ll1 = ld * (ld + 1.0)
@@ -167,10 +165,6 @@ class _Workspace:
         ghat[0] = 0.0
         return ghat
 
-    def check_blowup(self, st: dict):
-        if st["max_u"] > MAX_U_THRESHOLD or st["mass"] > MASS_THRESHOLD:
-            raise _Blowup
-
 
 def _initial_coeff(ws: _Workspace, config: MinimizeConfig) -> np.ndarray:
     """Start coefficients before minimize() fixes the mean-zero gauge."""
@@ -216,6 +210,25 @@ def _result(ws, coeff, st, multipliers, trace, status) -> MinimizeResult:
         coeff=coeff.copy())
 
 
+def _blown_up(st: dict | None) -> bool:
+    """Blow-up detector: exp(2u) overflowed (st is None) or a threshold passed."""
+    return (st is None or st["max_u"] > MAX_U_THRESHOLD
+            or st["mass"] > MASS_THRESHOLD)
+
+
+def _blowup(ws, coeff, st, lam, mu, trace) -> MinimizeResult:
+    """The blowup_detected result at coeff; its last trace entry is the
+    state the detector fired on (st is None if exp overflowed there)."""
+    if st is None:
+        entry = TraceEntry(outer=len(trace), value=None, objective=None,
+                           violation=None, grad_norm=None,
+                           max_u=float(ws.synth(coeff).max()), mass=None,
+                           mu=mu, inner_iters=0)
+    else:
+        entry = _trace_entry(ws, len(trace), st, lam, mu)
+    return _result(ws, coeff, st, lam, trace + [entry], STATUS_BLOWUP)
+
+
 def minimize(config: MinimizeConfig,
              initial_coeff: np.ndarray | None = None) -> MinimizeResult:
     """Augmented-Lagrangian descent on the perturbed functional.
@@ -243,69 +256,61 @@ def minimize(config: MinimizeConfig,
     trace: list[TraceEntry] = []
 
     st = ws.state(coeff)
-    if st is None:
-        trace.append(TraceEntry(outer=0, value=None, objective=None,
-                                violation=None, grad_norm=None,
-                                max_u=float(ws.synth(coeff).max()), mass=None,
-                                mu=mu, inner_iters=0))
-        return _result(ws, coeff, None, lam, trace, STATUS_BLOWUP)
+    if _blown_up(st):
+        return _blowup(ws, coeff, st, lam, mu, trace)
 
     status = STATUS_CAP
     prev_viol = np.inf
     alpha = 1.0
 
-    try:
-        ws.check_blowup(st)
-        for outer in range(config.max_outer):
-            inner_iters = 0
-            stop_reason = "grad_tol"
+    for outer in range(config.max_outer):
+        inner_iters = 0
+        stop_reason = "grad_tol"
+        ghat = ws.gradient(coeff, st, lam, mu)
+        pnorm = float(np.sqrt(np.sum(ghat * ghat * ws.precond)))
+        f_cur = ws.objective(st, lam, mu)
+
+        while pnorm > config.tol_grad:
+            if inner_iters >= config.max_inner:
+                stop_reason = "inner_cap"
+                break
+            direction = -ws.precond * ghat
+            slope = float(ghat @ direction)  # negative by construction
+            alpha = min(4.0 * alpha, 64.0)
+            accepted = False
+            for _ in range(MAX_BACKTRACKS):
+                trial = coeff + alpha * direction
+                st_trial = ws.state(trial)
+                f_trial = (np.inf if st_trial is None
+                           else ws.objective(st_trial, lam, mu))
+                if f_trial <= f_cur + ARMIJO_C1 * alpha * slope:
+                    accepted = True
+                    break
+                alpha *= ARMIJO_BACKTRACK
+            if not accepted:
+                stop_reason = "line_search_failed"
+                break
+            coeff = trial
+            st = st_trial
+            f_cur = f_trial
+            if _blown_up(st):
+                return _blowup(ws, coeff, st, lam, mu, trace)
+            inner_iters += 1
             ghat = ws.gradient(coeff, st, lam, mu)
             pnorm = float(np.sqrt(np.sum(ghat * ghat * ws.precond)))
-            f_cur = ws.objective(st, lam, mu)
 
-            while pnorm > config.tol_grad:
-                if inner_iters >= config.max_inner:
-                    stop_reason = "inner_cap"
-                    break
-                direction = -ws.precond * ghat
-                slope = float(ghat @ direction)  # negative by construction
-                alpha = min(4.0 * alpha, 64.0)
-                accepted = False
-                for _ in range(MAX_BACKTRACKS):
-                    trial = coeff + alpha * direction
-                    st_trial = ws.state(trial)
-                    f_trial = (np.inf if st_trial is None
-                               else ws.objective(st_trial, lam, mu))
-                    if f_trial <= f_cur + ARMIJO_C1 * alpha * slope:
-                        accepted = True
-                        break
-                    alpha *= ARMIJO_BACKTRACK
-                if not accepted:
-                    stop_reason = "line_search_failed"
-                    break
-                coeff = trial
-                st = st_trial
-                f_cur = f_trial
-                ws.check_blowup(st)
-                inner_iters += 1
-                ghat = ws.gradient(coeff, st, lam, mu)
-                pnorm = float(np.sqrt(np.sum(ghat * ghat * ws.precond)))
+        entry = _trace_entry(ws, outer, st, lam, mu, pnorm, inner_iters,
+                             stop_reason)
+        trace.append(entry)
+        viol = entry.violation
+        if viol <= config.tol_constraint and pnorm <= config.tol_grad:
+            status = STATUS_CONVERGED
+            break
 
-            entry = _trace_entry(ws, outer, st, lam, mu, pnorm, inner_iters,
-                                 stop_reason)
-            trace.append(entry)
-            viol = entry.violation
-            if viol <= config.tol_constraint and pnorm <= config.tol_grad:
-                status = STATUS_CONVERGED
-                break
-
-            lam = lam + mu * st["mhat"]
-            if viol > config.tol_constraint and viol > prev_viol / 4.0:
-                mu *= MU_GROWTH
-            prev_viol = viol
-    except _Blowup:
-        trace.append(_trace_entry(ws, len(trace), st, lam, mu))
-        return _result(ws, coeff, st, lam, trace, STATUS_BLOWUP)
+        lam = lam + mu * st["mhat"]
+        if viol > config.tol_constraint and viol > prev_viol / 4.0:
+            mu *= MU_GROWTH
+        prev_viol = viol
 
     return _result(ws, coeff, st, lam + mu * st["mhat"], trace, status)
 
@@ -330,16 +335,16 @@ def continuation(eps_list, base: MinimizeConfig) -> ContinuationResult:
     bounded) or "blowing_up" (a detector fired, or masses monotonically
     explode), else "inconclusive".
     """
-    eps_list = [float(e) for e in eps_list]
-    if any(not (0.0 <= e < 0.5) for e in eps_list):
-        raise ValueError("all eps must lie in [0, 1/2)")
+    configs = [replace(base, eps=float(e)) for e in eps_list]
+    if not configs:
+        raise ValueError("eps_list is empty")
+    eps_list = tuple(c.eps for c in configs)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
 
     results = []
     warm = None
-    for eps in eps_list:
-        config = replace(base, eps=eps)
+    for config in configs:
         res = minimize(config, initial_coeff=warm)
         results.append(res)
         if res.status != STATUS_BLOWUP:
@@ -358,6 +363,6 @@ def continuation(eps_list, base: MinimizeConfig) -> ContinuationResult:
     else:
         classification = "inconclusive"
     return ContinuationResult(
-        results=tuple(results), eps_list=tuple(eps_list), masses=masses,
+        results=tuple(results), eps_list=eps_list, masses=masses,
         max_values=tuple(r.trace[-1].max_u for r in results),
         statuses=statuses, classification=classification)

@@ -26,6 +26,8 @@ def test_mobius_map_validation():
         MobiusMap(np.array([0.0, 0.0, 2.0]), 2.0)
     with pytest.raises(ValueError):
         MobiusMap(NORTH, 0.5)
+    with pytest.raises(ValueError):
+        MobiusMap(NORTH, np.nan)
     assert MobiusMap(NORTH, 1.0).is_identity
 
 

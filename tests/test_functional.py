@@ -36,6 +36,15 @@ def test_evaluate_rejects_overflow(grid_default):
         evaluate(constant_field(grid_default, 400.0))
 
 
+def test_evaluate_rejects_non_finite_or_singular_parameters(grid_default):
+    u = constant_field(grid_default, 0.0)
+    for kwargs in ({"eps": 1.0}, {"eps": 1.5}, {"eps": np.nan},
+                   {"alpha": np.nan}, {"alpha": np.inf}):
+        with pytest.raises(ValueError):
+            evaluate(u, **kwargs)
+    assert evaluate(u, eps=-0.5).i_eps == 0.0  # eps < 0 stays admitted
+
+
 def test_evaluate_keeps_low_mass_fields(grid_default):
     # exp(2u) << 1: expm1(2u) rounds to -1 there, so 4 pi + int expm1(2u)
     # would cancel to 0 and the log-average to -inf.
@@ -274,6 +283,9 @@ def test_expansion_rejects_bad_radius():
         energy_expansion_report(2.0, 0.0)
     with pytest.raises(ValueError):
         energy_expansion_report(2.0, -1.0)
+    for t, R in ((np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, np.inf)):
+        with pytest.raises(ValueError):
+            energy_expansion_report(t, R)
 
 
 def test_obstruction_constant_export():

@@ -145,6 +145,41 @@ def test_cli_check_rejects_unresolvable_degree(capsys):
     assert main(["minimize", "--eps", "0.2", "--n-theta", "0"]) == 2
 
 
+# Malformed run parameters, non-finite numbers and missing files: each is
+# a named error with its exit code, never a traceback or a printed result.
+_MISSING = "{missing}"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["minimize", "--continuation", "0.4,0.3", "--max-outer", "0"], 2),
+    (["minimize", "--continuation", ","], 2),
+    (["minimize", "--continuation", ""], 2),
+    (["minimize", "--eps", "0.2", "--max-outer", "-1"], 2),
+    (["minimize", "--eps", "0.2", "--max-inner", "-1"], 2),
+    (["minimize", "--eps", "0.2", "--L", "-1"], 2),
+    (["check", "--L", "-1"], 2),
+    (["minimize", "--eps", "0.2", "--tol-grad", "nan"], 2),
+    (["minimize", "--eps", "0.2", "--init", "file"], 2),
+    (["evaluate", "--eps", "1"], 2),
+    (["evaluate", "--eps", "1.5"], 2),
+    (["evaluate", "--alpha", "nan"], 2),
+    (["sweep", "--alpha-list", "nan"], 2),
+    (["sweep", "--t-max", "inf"], 2),
+    (["expansion", "--t-list", "nan"], 2),
+    (["expansion", "--R-list", "inf"], 2),
+    (["evaluate", "--field", _MISSING], 3),
+    (["check", "--field", _MISSING], 3),
+    (["minimize", "--eps", "0.2", "--init", "file", "--init-file", _MISSING], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_rejects_malformed_input_with_one_line(argv, code, tmp_path, capsys):
+    missing = str(tmp_path / "missing.field.bin")
+    assert main([missing if a == _MISSING else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_cli_check_reports_format_error(tmp_path):
     bad = tmp_path / "bad.field.bin"
     bad.write_bytes(b"garbage\x00\x01")

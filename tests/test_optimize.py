@@ -20,7 +20,13 @@ def test_config_validation():
         MinimizeConfig(eps=0.2, tol_grad=0.0)
     with pytest.raises(ValueError):
         MinimizeConfig(eps=0.2, init_kind="warmish")
+    for bad in ({"tol_grad": np.nan}, {"tol_constraint": np.inf},
+                {"max_outer": 0}, {"max_outer": -1}, {"max_inner": -1},
+                {"init_kind": "file"}):
+        with pytest.raises(ValueError):
+            MinimizeConfig(eps=0.2, **bad)
     MinimizeConfig(eps=0.0)  # direct problem admitted
+    MinimizeConfig(eps=0.2, max_inner=0, init_kind="file", init_path="u.bin")
 
 
 def test_zero_init_converges_at_the_feasible_stationary_point():
@@ -203,6 +209,8 @@ def test_continuation_validates_ladder():
         continuation([0.3, 0.4], MinimizeConfig(eps=0.3))
     with pytest.raises(ValueError):
         continuation([0.6, 0.3], MinimizeConfig(eps=0.3))
+    with pytest.raises(ValueError):
+        continuation([], MinimizeConfig(eps=0.3))
 
 
 def test_file_init_roundtrip(tmp_path):
