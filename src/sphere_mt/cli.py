@@ -271,7 +271,8 @@ def _minimize_config(args) -> optimize.MinimizeConfig:
 
 def cmd_minimize(args) -> int:
     """One run (--eps) or one ladder (--continuation): one output path,
-    and the exit code of the worst status (blow-up, cap, converged)."""
+    and the exit code of the worst status (blow-up, cap, converged); a
+    ladder classified blowing_up exits as a blow-up."""
     config = _minimize_config(args)
     ladder = args.continuation is not None
     if ladder:
@@ -291,7 +292,8 @@ def cmd_minimize(args) -> int:
     else:
         print(report_json(out))
     statuses = {res.status for res in results}
-    if optimize.STATUS_BLOWUP in statuses:
+    if (optimize.STATUS_BLOWUP in statuses
+            or (ladder and out.classification == "blowing_up")):
         return EXIT_BLOWUP
     return EXIT_OK if statuses == {optimize.STATUS_CONVERGED} else EXIT_CAP
 

@@ -5,18 +5,27 @@ The iterate lives in spectral space (degree <= L) with the constant mode
 frozen at zero, which fixes the mean-zero gauge once and removes a flat
 direction.  The moment constraints are imposed on the mass-normalized
 moments; their multipliers start at zero (the analytic multipliers vanish
-for every eps > 0).  Inner iterations descend along the Sobolev-
-preconditioned gradient with Armijo backtracking; blow-up is detected
-operationally from iterate max and mass thresholds and reported as a
-status, never raised.
+for every eps > 0).  The inner loop is L-BFGS in the Sobolev metric
+(Nocedal & Wright, Numerical Optimization, ch. 7): the two-loop recursion
+over the last LBFGS_MEMORY (s, y) pairs, with H0 = gamma * precond, where
+precond = 1/(1 + l(l+1)).  gamma starts at 4 pi (1-eps), the inverse scale
+of the gradient's Laplacian term, and after each stored pair becomes
+s.y / y.(precond y) (sec. 7.2); a pair with s.y <= 0 is skipped.  Each
+outer iteration changes the objective, so it starts with empty memory and
+gamma reset.  A step tries alpha = 1 first, then Armijo backtracking; a
+two-loop direction that is not a descent direction drops the memory for
+-gamma * precond * g.  Blow-up is detected operationally from iterate max
+and mass thresholds and reported as a status, never raised.
 
-The penalty schedule (MU0, MU_GROWTH) and the blow-up thresholds
-(MAX_U_THRESHOLD, MASS_THRESHOLD) are module constants, not
-MinimizeConfig options: every run uses the one value of each.
+The penalty schedule (MU0, MU_GROWTH), the blow-up thresholds
+(MAX_U_THRESHOLD, MASS_THRESHOLD) and the L-BFGS memory (LBFGS_MEMORY)
+are module constants, not MinimizeConfig options: every run uses the one
+value of each.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +39,7 @@ from .io import read_field
 ARMIJO_C1 = 1e-4
 ARMIJO_BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
+LBFGS_MEMORY = 10
 MU0 = 10.0
 MU_GROWTH = 4.0
 MAX_U_THRESHOLD = 30.0
@@ -210,6 +220,24 @@ def _result(ws, coeff, st, multipliers, trace, status) -> MinimizeResult:
         coeff=coeff.copy())
 
 
+def _lbfgs_direction(g: np.ndarray, pairs, h0: np.ndarray) -> np.ndarray:
+    """H g by the L-BFGS two-loop recursion (Nocedal & Wright, Numerical
+    Optimization, alg. 7.4): H is the inverse-Hessian estimate built from
+    the diagonal h0 and the (s, y) pairs, oldest first, each with s.y > 0.
+    """
+    q = np.array(g, dtype=float)
+    rhos = [1.0 / float(s @ y) for s, y in pairs]
+    alphas = []
+    for (s, y), rho in zip(reversed(pairs), reversed(rhos)):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    r = h0 * q
+    for (s, y), rho, a in zip(pairs, rhos, reversed(alphas)):
+        r += (a - rho * float(y @ r)) * s
+    return r
+
+
 def _blown_up(st: dict | None) -> bool:
     """Blow-up detector: exp(2u) overflowed (st is None) or a threshold passed."""
     return (st is None or st["max_u"] > MAX_U_THRESHOLD
@@ -237,9 +265,15 @@ def minimize(config: MinimizeConfig,
     the penalty when the violation is above tol_constraint and failed to
     shrink by a factor of 4 (Nocedal & Wright, Numerical Optimization,
     ch. 17: a satisfied constraint never needs a larger penalty).
-    Inner iterations take Armijo steps along the negative Sobolev-
-    preconditioned gradient until the preconditioned gradient norm falls
-    below tol_grad.  Returns converged / blowup_detected / iteration_cap;
+    Inner iterations are L-BFGS steps in the Sobolev metric until the
+    preconditioned gradient norm falls below tol_grad: the direction is
+    -H g from the two-loop recursion over at most LBFGS_MEMORY pairs with
+    H0 = gamma * precond (gamma = 4 pi (1-eps) at the start of every outer
+    iteration, whose memory starts empty, then s.y / y.(precond y) after
+    each stored pair; pairs with s.y <= 0 are skipped), falling back to
+    -gamma * precond * g with the memory dropped if that is not a descent
+    direction.  Each step tries alpha = 1, then Armijo backtracking.
+    Returns converged / blowup_detected / iteration_cap;
     evaluation overflow becomes blowup_detected.  The start is
     initial_coeff if given (the caller's array is not modified), else the
     one config.init_kind describes; its constant mode is set to zero.
@@ -261,11 +295,12 @@ def minimize(config: MinimizeConfig,
 
     status = STATUS_CAP
     prev_viol = np.inf
-    alpha = 1.0
 
     for outer in range(config.max_outer):
         inner_iters = 0
         stop_reason = "grad_tol"
+        pairs = deque(maxlen=LBFGS_MEMORY)  # lambda or mu changed: reset
+        gamma = FOUR_PI * (1.0 - config.eps)
         ghat = ws.gradient(coeff, st, lam, mu)
         pnorm = float(np.sqrt(np.sum(ghat * ghat * ws.precond)))
         f_cur = ws.objective(st, lam, mu)
@@ -274,9 +309,13 @@ def minimize(config: MinimizeConfig,
             if inner_iters >= config.max_inner:
                 stop_reason = "inner_cap"
                 break
-            direction = -ws.precond * ghat
-            slope = float(ghat @ direction)  # negative by construction
-            alpha = min(4.0 * alpha, 64.0)
+            direction = -_lbfgs_direction(ghat, pairs, gamma * ws.precond)
+            slope = float(ghat @ direction)
+            if not slope < 0.0:
+                pairs.clear()
+                direction = -gamma * ws.precond * ghat
+                slope = float(ghat @ direction)
+            alpha = 1.0
             accepted = False
             for _ in range(MAX_BACKTRACKS):
                 trial = coeff + alpha * direction
@@ -290,13 +329,20 @@ def minimize(config: MinimizeConfig,
             if not accepted:
                 stop_reason = "line_search_failed"
                 break
+            step = trial - coeff
             coeff = trial
             st = st_trial
             f_cur = f_trial
             if _blown_up(st):
                 return _blowup(ws, coeff, st, lam, mu, trace)
             inner_iters += 1
-            ghat = ws.gradient(coeff, st, lam, mu)
+            ghat_new = ws.gradient(coeff, st, lam, mu)
+            dgrad = ghat_new - ghat
+            sy = float(step @ dgrad)
+            if sy > 0.0:
+                pairs.append((step, dgrad))
+                gamma = sy / float(dgrad @ (ws.precond * dgrad))
+            ghat = ghat_new
             pnorm = float(np.sqrt(np.sum(ghat * ghat * ws.precond)))
 
         entry = _trace_entry(ws, outer, st, lam, mu, pnorm, inner_iters,

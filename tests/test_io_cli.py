@@ -276,6 +276,26 @@ def test_cli_minimize_continuation(tmp_path):
     assert len(report["results"]) == 3
 
 
+def test_cli_ladder_classified_blowing_up_exits_10(monkeypatch, capsys):
+    # every run converges, but a ladder whose masses explode is classified
+    # blowing_up and must exit as a blow-up, not 0
+    from dataclasses import replace
+    from sphere_mt import cli as cli_mod
+
+    real = cli_mod.optimize.continuation
+
+    def rigged(eps_list, base):
+        return replace(real(eps_list, base), classification="blowing_up")
+
+    monkeypatch.setattr(cli_mod.optimize, "continuation", rigged)
+    code = main(["minimize", "--continuation", "0.4,0.3", "--L", "8",
+                 "--n-theta", "24", "--n-phi", "48"])
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["statuses"]) == {"converged"}
+    assert report["classification"] == "blowing_up"
+    assert code == 10
+
+
 def test_cli_expansion_table(capsys):
     assert main(["expansion", "--t-list", "2", "--R-list", "1,10"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -8,7 +8,8 @@ from sphere_mt import (FOUR_PI, ContinuationResult, MinimizeConfig,
 from sphere_mt.harmonics import flat_index
 from sphere_mt.io import to_jsonable
 from sphere_mt.optimize import (MASS_THRESHOLD, MU0, STATUS_BLOWUP,
-                                STATUS_CAP, STATUS_CONVERGED, _Workspace)
+                                STATUS_CAP, STATUS_CONVERGED, _lbfgs_direction,
+                                _Workspace)
 
 
 def test_config_validation():
@@ -60,7 +61,7 @@ def test_state_log_avg_exp_keeps_relative_accuracy_near_zero(c):
 def test_penalty_stops_growing_once_the_constraint_holds():
     config = MinimizeConfig(eps=0.4, L=16, n_theta=64, n_phi=128,
                             init_kind="random", init_seed=3, tol_grad=1e-15,
-                            max_outer=8, max_inner=60)
+                            max_outer=8, max_inner=10)
     res = minimize(config)
     satisfied = [(a, b) for a, b in zip(res.trace, res.trace[1:])
                  if a.violation <= config.tol_constraint]
@@ -70,6 +71,46 @@ def test_penalty_stops_growing_once_the_constraint_holds():
     for e in res.trace:
         assert e.stop_reason in ("grad_tol", "inner_cap", "line_search_failed")
     assert res.trace[0].stop_reason == "inner_cap"
+
+
+def test_lbfgs_direction_without_pairs_is_the_diagonal():
+    rng = np.random.default_rng(11)
+    g, h0 = rng.standard_normal(25), rng.uniform(0.1, 2.0, 25)
+    assert np.max(np.abs(_lbfgs_direction(g, [], h0) - h0 * g)) <= 1e-12
+
+
+def test_lbfgs_direction_satisfies_the_newest_secant_equation():
+    # the BFGS update enforces H y_k = s_k exactly for the newest pair
+    rng = np.random.default_rng(12)
+    n = 25
+    a = rng.standard_normal((n, n))
+    hess = a @ a.T + n * np.eye(n)  # s.y > 0 for every pair
+    pairs = []
+    for _ in range(4):
+        s = rng.standard_normal(n)
+        pairs.append((s, hess @ s))
+    h0 = rng.uniform(0.1, 2.0, n)
+    s_new, y_new = pairs[-1]
+    h_y = _lbfgs_direction(y_new, pairs, h0)
+    assert np.max(np.abs(h_y - s_new)) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [2.5, 3.7, 5.0])
+def test_bubble_pair_ladder_first_rung_iteration_count(t):
+    # regression guard on the inner loop's speed (L-BFGS takes 8-9 here)
+    cont = continuation([0.4, 0.3, 0.2, 0.1, 0.05], MinimizeConfig(
+        eps=0.4, L=16, n_theta=64, n_phi=128, init_kind="bubble_pair",
+        init_t=t))
+    assert cont.classification == "compact"
+    assert all(s == STATUS_CONVERGED for s in cont.statuses)
+    assert sum(e.inner_iters for e in cont.results[0].trace) <= 15
+
+
+def test_random_start_iteration_count():
+    # regression guard on the inner loop's speed (L-BFGS takes 22 here)
+    res = minimize(MinimizeConfig(eps=0.25, init_kind="random", init_seed=3))
+    assert res.status == STATUS_CONVERGED
+    assert sum(e.inner_iters for e in res.trace) <= 30
 
 
 def test_random_init_reaches_the_same_basin():
