@@ -12,16 +12,13 @@ Exit codes are a total function of the outcome class:
     64  usage error
 
 Every subcommand is deterministic given its flags and --seed; rerunning
-reproduces JSON/CSV output byte-for-byte on the same platform.  The
-environment variable SPHERE_MT_GRID ("64x128") overrides the default
-grid.
+reproduces JSON/CSV output byte-for-byte on the same platform.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -45,8 +42,6 @@ DEFAULT_N_THETA = 64
 DEFAULT_N_PHI = 128
 DEFAULT_SEED = 42
 
-GRID_ENV_VAR = "SPHERE_MT_GRID"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the conventional 64 exit code on usage errors."""
@@ -55,30 +50,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-
-
-def default_grid_sizes() -> tuple[int, int]:
-    """Built-in default, overridable via SPHERE_MT_GRID=<n_theta>x<n_phi>."""
-    raw = os.environ.get(GRID_ENV_VAR)
-    if not raw:
-        return DEFAULT_N_THETA, DEFAULT_N_PHI
-    for sep in ("x", "X", ","):
-        if sep in raw:
-            a, b = raw.split(sep, 1)
-            try:
-                return int(a), int(b)
-            except ValueError:
-                break
-    raise GridSizeError(f"cannot parse {GRID_ENV_VAR}={raw!r}; expected e.g. 64x128")
-
-
-def _resolve_grid(args) -> tuple[int, int]:
-    nt, np_ = default_grid_sizes()
-    if getattr(args, "n_theta", None) is not None:
-        nt = args.n_theta
-    if getattr(args, "n_phi", None) is not None:
-        np_ = args.n_phi
-    return nt, np_
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -134,9 +105,8 @@ def _check_suite(grid, L: int, seed: int):
            abs(area - FOUR_PI) <= 1e-8 * FOUR_PI,
            f"t={t_area}, area = {area!r}")
 
-    lap = harmonics.synthesize(
-        harmonics.laplacian(harmonics.analyze(w, harmonics.max_degree(grid))), grid)
-    resid = float(np.max(np.abs(lap.values + np.exp(2.0 * w.values) - 1.0)))
+    lap = functional._laplacian_values(w)
+    resid = float(np.max(np.abs(lap + np.exp(2.0 * w.values) - 1.0)))
     yield ("conformal.curvature_equation", resid <= 1e-5,
            f"t={t_area}, max residual = {resid:.3e}")
 
@@ -168,8 +138,7 @@ def _check_suite(grid, L: int, seed: int):
 
 
 def cmd_check(args) -> int:
-    nt, np_ = _resolve_grid(args)
-    grid = build_grid(nt, np_)
+    grid = build_grid(args.n_theta, args.n_phi)
     harmonics._check_degree(grid, args.L)
     if args.field:
         f = read_field(args.field)
@@ -193,8 +162,7 @@ def cmd_check(args) -> int:
 def _load_or_make_field(args) -> ScalarField:
     if args.field:
         return read_field(args.field)
-    nt, np_ = _resolve_grid(args)
-    grid = build_grid(nt, np_)
+    grid = build_grid(args.n_theta, args.n_phi)
     if args.make_bubble_pair is not None:
         return conformal.bubble_pair(args.make_bubble_pair, grid).field
     return ScalarField(grid, np.zeros((grid.n_theta, grid.n_phi)))
@@ -234,17 +202,13 @@ def bubble_sweep_rows(t_values, alphas, grid):
 
 
 def cmd_sweep(args) -> int:
-    if args.family != "bubble-pair":
-        raise ValueError(f"unknown sweep family {args.family!r}")
     if not 1.0 <= args.t_min <= args.t_max < math.inf:
         raise ValueError("need 1 <= t-min <= t-max < inf")
     if args.steps < 2:
         raise ValueError("need at least 2 steps")
     alphas = _parse_float_list(args.alpha_list, "--alpha-list")
 
-    nt, np_ = _resolve_grid(args)
-    nt, np_ = sweep_grid_sizes(args.t_max, nt, np_)
-    grid = build_grid(nt, np_)
+    grid = build_grid(*sweep_grid_sizes(args.t_max, args.n_theta, args.n_phi))
     t_values = np.linspace(args.t_min, args.t_max, args.steps)
     rows = bubble_sweep_rows(t_values, alphas, grid)
     header = (["t", "avg_grad_sq", "avg_u", "log_avg_exp", "mass"]
@@ -258,11 +222,10 @@ def cmd_sweep(args) -> int:
 # ------------------------------------------------------------- minimize
 
 def _minimize_config(args) -> optimize.MinimizeConfig:
-    nt, np_ = _resolve_grid(args)
     kind = args.init.replace("-", "_")
     return optimize.MinimizeConfig(
         eps=args.eps if args.eps is not None else 0.0,
-        L=args.L, n_theta=nt, n_phi=np_,
+        L=args.L, n_theta=args.n_theta, n_phi=args.n_phi,
         tol_grad=args.tol_grad, tol_constraint=args.tol_constraint,
         max_outer=args.max_outer, max_inner=args.max_inner,
         init_kind=kind, init_seed=args.seed, init_scale=args.scale,
@@ -323,10 +286,10 @@ def cmd_expansion(args) -> int:
 # ----------------------------------------------------------------- main
 
 def _add_grid_flags(p):
-    p.add_argument("--n-theta", type=int, default=None,
-                   help="colatitude nodes (default 64 or SPHERE_MT_GRID)")
-    p.add_argument("--n-phi", type=int, default=None,
-                   help="longitude nodes (default 128 or SPHERE_MT_GRID)")
+    p.add_argument("--n-theta", type=int, default=DEFAULT_N_THETA,
+                   help="colatitude nodes (default %(default)s)")
+    p.add_argument("--n-phi", type=int, default=DEFAULT_N_PHI,
+                   help="longitude nodes (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="bubble-family functional table")
     _add_grid_flags(p)
-    p.add_argument("--family", default="bubble-pair")
     p.add_argument("--t-min", type=float, default=2.0)
     p.add_argument("--t-max", type=float, default=20.0)
     p.add_argument("--steps", type=int, default=7)

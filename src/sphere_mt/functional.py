@@ -17,7 +17,9 @@ not a test of the equation; kazdan_warner_residual is the general-h one.
 
 One private kernel, _exp2u, gives evaluate, the EL residual, the
 gradient, kazdan_warner_residual and the optimizer every exp(2u)
-integral, with a log-average accurate at both ends of the mass.
+integral, with a log-average accurate at both ends of the mass.  One
+private constructor, _report, writes out J, I, the shifted I, I_alpha,
+I_eps and the normalized moments for evaluate and the optimizer.
 Overflow is a first-class blow-up signal (RangeOverflowError), never a crash.
 """
 
@@ -102,25 +104,11 @@ class FunctionalReport:
     i_eps: float | None = None
 
 
-def evaluate(u: ScalarField, alpha: float | None = None,
-             eps: float | None = None, L: int | None = None) -> FunctionalReport:
-    """Populate a FunctionalReport for the field u.
-
-    The Dirichlet term is computed spectrally at degree L (defaults to
-    the grid's anti-aliasing bound); exp(2u) terms are pointwise.  alpha
-    must be finite and eps finite and below 1 (eps < 0 is admitted).
-    """
-    if alpha is not None and not np.isfinite(alpha):
-        raise ValueError(f"alpha={alpha} is not finite")
-    if eps is not None and not (-np.inf < eps < 1.0):
-        raise ValueError(f"eps={eps} must be finite and below 1")
-    grid = u.grid
-    _, mass, moments, log_avg_exp = _exp2u(grid, u.values)
-    spec = harmonics.analyze(u, harmonics.max_degree(grid) if L is None else L)
-    avg_grad_sq = harmonics.dirichlet_energy(spec) / FOUR_PI
-    avg_u = average(u)
-
-    report = FunctionalReport(
+def _report(avg_grad_sq: float, avg_u: float, log_avg_exp: float,
+            mass: float, moments: np.ndarray, alpha: float | None = None,
+            eps: float | None = None) -> FunctionalReport:
+    """The one place the functionals are written out from their parts."""
+    return FunctionalReport(
         avg_grad_sq=avg_grad_sq,
         avg_u=avg_u,
         log_avg_exp=log_avg_exp,
@@ -137,7 +125,25 @@ def evaluate(u: ScalarField, alpha: float | None = None,
         i_eps=(None if eps is None
                else avg_grad_sq / (2.0 * (1.0 - eps)) + 2.0 * avg_u - log_avg_exp),
     )
-    return report
+
+
+def evaluate(u: ScalarField, alpha: float | None = None,
+             eps: float | None = None, L: int | None = None) -> FunctionalReport:
+    """Populate a FunctionalReport for the field u.
+
+    The Dirichlet term is computed spectrally at degree L (defaults to
+    the grid's anti-aliasing bound); exp(2u) terms are pointwise.  alpha
+    must be finite and eps finite and below 1 (eps < 0 is admitted).
+    """
+    if alpha is not None and not np.isfinite(alpha):
+        raise ValueError(f"alpha={alpha} is not finite")
+    if eps is not None and not (-np.inf < eps < 1.0):
+        raise ValueError(f"eps={eps} must be finite and below 1")
+    grid = u.grid
+    _, mass, moments, log_avg_exp = _exp2u(grid, u.values)
+    spec = harmonics.analyze(u, harmonics.max_degree(grid) if L is None else L)
+    return _report(harmonics.dirichlet_energy(spec) / FOUR_PI, average(u),
+                   log_avg_exp, mass, moments, alpha, eps)
 
 
 def _el_field(u: ScalarField, eps: float):

@@ -1,10 +1,9 @@
 """Bit-stable file formats for fields, reports, and sweep tables.
 
 FieldFile: one JSON header line followed by the node values as raw
-little-endian float64 in row-major (theta outer, phi inner) order; a
-pure-JSON variant embeds the values as a number array for small grids.
-The header carries the grid shape, creation parameters, and a sha256 of
-the payload, so corruption is detected on read.
+little-endian float64 in row-major (theta outer, phi inner) order.  The
+header carries the grid shape, creation parameters, the encoding (always
+"binary") and a sha256 of the payload, so corruption is detected on read.
 
 Reports serialize dataclasses to JSON; floats go through Python's
 shortest round-trip repr, which reloads bit-exactly.  Non-finite values
@@ -22,18 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, NonFiniteFieldError
+from .errors import FormatError, GridSizeError, NonFiniteFieldError
 from .grid import ScalarField, build_grid
 
 FORMAT_VERSION = 1
 
 
-def _header(field: ScalarField, encoding: str, params: dict | None,
-            payload_hash: str) -> dict:
+def _header(field: ScalarField, params: dict | None, payload_hash: str) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "field",
-        "encoding": encoding,
+        "encoding": "binary",
         "n_theta": field.grid.n_theta,
         "n_phi": field.grid.n_phi,
         "count": field.grid.n_nodes,
@@ -42,27 +40,14 @@ def _header(field: ScalarField, encoding: str, params: dict | None,
     }
 
 
-def write_field(path, field: ScalarField, params: dict | None = None,
-                encoding: str = "binary") -> None:
+def write_field(path, field: ScalarField, params: dict | None = None) -> None:
     """Persist a field; write->read reproduces values bit-exactly."""
-    path = Path(path)
-    values = np.ascontiguousarray(field.values, dtype="<f8")
-    payload = values.tobytes()
-    digest = hashlib.sha256(payload).hexdigest()
-    if encoding == "binary":
-        header = _header(field, "binary", params, digest)
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(payload)
-    elif encoding == "json":
-        header = _header(field, "json", params, digest)
-        header["values"] = values.ravel().tolist()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(header, fh, sort_keys=True)
-            fh.write("\n")
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
+    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
+    header = _header(field, params, hashlib.sha256(payload).hexdigest())
+    with open(Path(path), "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        fh.write(payload)
 
 
 def read_field(path) -> ScalarField:
@@ -94,27 +79,21 @@ def read_field(path) -> ScalarField:
         raise FormatError(f"malformed field header: {exc}") from exc
     if count != n_theta * n_phi:
         raise FormatError("header count does not match grid shape")
-
-    if encoding == "binary":
-        payload = data[newline + 1:]
-        if len(payload) != 8 * count:
-            raise FormatError(
-                f"payload length {len(payload)} != {8 * count} bytes")
-        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            raise FormatError("payload hash mismatch (corrupted file)")
-        values = np.frombuffer(payload, dtype="<f8").astype(float)
-    elif encoding == "json":
-        values = np.asarray(header.get("values", []), dtype=float)
-        if values.size != count:
-            raise FormatError(f"expected {count} values, found {values.size}")
-        digest = hashlib.sha256(
-            np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
-        if digest != header.get("sha256"):
-            raise FormatError("value hash mismatch (corrupted file)")
-    else:
+    if encoding != "binary":
         raise FormatError(f"unknown encoding {encoding!r}")
 
-    grid = build_grid(n_theta, n_phi)
+    payload = data[newline + 1:]
+    if len(payload) != 8 * count:
+        raise FormatError(
+            f"payload length {len(payload)} != {8 * count} bytes")
+    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+        raise FormatError("payload hash mismatch (corrupted file)")
+    values = np.frombuffer(payload, dtype="<f8").astype(float)
+
+    try:
+        grid = build_grid(n_theta, n_phi)
+    except GridSizeError as exc:
+        raise FormatError(f"header grid is not a valid grid: {exc}") from exc
     try:
         return ScalarField(grid, values.reshape(n_theta, n_phi))
     except NonFiniteFieldError as exc:

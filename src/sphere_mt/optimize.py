@@ -32,7 +32,7 @@ import numpy as np
 
 from . import conformal, harmonics
 from .errors import RangeOverflowError
-from .functional import _exp2u, el_residual
+from .functional import _exp2u, _report, el_residual
 from .grid import FOUR_PI, ScalarField, build_grid
 from .io import read_field
 
@@ -131,33 +131,24 @@ class _Workspace:
         self.ll1 = ld * (ld + 1.0)
         self.precond = 1.0 / (1.0 + self.ll1)
 
-    def synth(self, coeff: np.ndarray) -> np.ndarray:
-        spec = harmonics.HarmonicSpectrum(L=self.L, coeff=coeff)
-        return harmonics.synthesize(spec, self.grid).values
-
-    def state(self, coeff: np.ndarray) -> dict | None:
-        """Evaluate everything at a spectral point; None if exp overflows."""
+    def state(self, coeff: np.ndarray) -> tuple:
+        """(u, exp(2u), report) at a spectral point, the report taken at
+        avg_u = 0 (the gauge); (u, None, None) if exp(2u) overflows."""
         spec = harmonics.HarmonicSpectrum(L=self.L, coeff=coeff)
         u = harmonics.synthesize(spec, self.grid).values
         try:
             e2u, mass, moments, log_avg_exp = _exp2u(self.grid, u)
         except RangeOverflowError:
-            return None
-        ags = harmonics.dirichlet_energy(spec) / FOUR_PI
-        return {"u": u, "e2u": e2u, "mass": mass, "mhat": moments / mass,
-                "ags": ags, "log_avg_exp": log_avg_exp,
-                "max_u": float(u.max())}
+            return u, None, None
+        return u, e2u, _report(harmonics.dirichlet_energy(spec) / FOUR_PI, 0.0,
+                               log_avg_exp, mass, moments, eps=self.config.eps)
 
-    def objective(self, st: dict, lam: np.ndarray, mu: float) -> float:
-        eps = self.config.eps
-        shifted = st["ags"] / (2.0 * (1.0 - eps)) - st["log_avg_exp"]
-        return shifted + float(lam @ st["mhat"]) + 0.5 * mu * float(st["mhat"] @ st["mhat"])
+    def objective(self, st: tuple, lam: np.ndarray, mu: float) -> float:
+        """I_eps plus the augmented-Lagrangian moment terms."""
+        mhat = st[2].normalized_moments
+        return st[2].i_eps + float(lam @ mhat) + 0.5 * mu * float(mhat @ mhat)
 
-    def value(self, st: dict) -> float:
-        """Shift-invariant critical functional (the reported value)."""
-        return 0.5 * st["ags"] - st["log_avg_exp"]
-
-    def gradient(self, coeff: np.ndarray, st: dict, lam: np.ndarray,
+    def gradient(self, coeff: np.ndarray, st: tuple, lam: np.ndarray,
                  mu: float) -> np.ndarray:
         """Spectral L^2 gradient of the augmented objective, mode 0 frozen.
 
@@ -165,11 +156,13 @@ class _Workspace:
         diagonal l(l+1) c_lm / (4 pi (1-eps)) in coefficient space.
         """
         eps = self.config.eps
-        g = 1.0 / (2.0 * np.pi) - 2.0 * st["e2u"] / st["mass"]
+        _, e2u, report = st
+        mass, mhat = report.mass, report.normalized_moments
+        g = 1.0 / (2.0 * np.pi) - 2.0 * e2u / mass
         for i in range(3):
-            weight_i = lam[i] + mu * st["mhat"][i]
+            weight_i = lam[i] + mu * mhat[i]
             if weight_i != 0.0:
-                g = g + weight_i * 2.0 * st["e2u"] * (self.grid.xyz[:, :, i] - st["mhat"][i]) / st["mass"]
+                g = g + weight_i * 2.0 * e2u * (self.grid.xyz[:, :, i] - mhat[i]) / mass
         ghat = (harmonics.analyze(ScalarField(self.grid, g), self.L).coeff
                 + self.ll1 * coeff / (FOUR_PI * (1.0 - eps)))
         ghat[0] = 0.0
@@ -197,26 +190,29 @@ def _initial_coeff(ws: _Workspace, config: MinimizeConfig) -> np.ndarray:
 
 def _trace_entry(ws, outer, st, lam, mu, grad_norm=None, inner_iters=0,
                  stop_reason=None) -> TraceEntry:
+    u, _, report = st
+    value = objective = violation = mass = None
+    if report is not None:  # else exp(2u) overflowed
+        value, mass = report.improved_I, report.mass
+        objective = ws.objective(st, lam, mu)
+        violation = float(np.max(np.abs(report.normalized_moments)))
     return TraceEntry(
-        outer=outer, value=ws.value(st), objective=ws.objective(st, lam, mu),
-        violation=float(np.max(np.abs(st["mhat"]))), grad_norm=grad_norm,
-        max_u=st["max_u"], mass=st["mass"], mu=mu, inner_iters=inner_iters,
-        stop_reason=stop_reason)
+        outer=outer, value=value, objective=objective, violation=violation,
+        grad_norm=grad_norm, max_u=float(u.max()), mass=mass, mu=mu,
+        inner_iters=inner_iters, stop_reason=stop_reason)
 
 
 def _result(ws, coeff, st, multipliers, trace, status) -> MinimizeResult:
-    """The run's result at coeff; st is its state, None if exp overflowed."""
-    u_star = ScalarField(ws.grid, ws.synth(coeff) if st is None else st["u"])
-    value = viol = resid = kw = None
-    if st is not None:
-        value = ws.value(st)
-        viol = float(np.max(np.abs(st["mhat"])))
+    """The run's result at coeff; st is its state and trace[-1] its entry."""
+    u_star = ScalarField(ws.grid, st[0])
+    resid = kw = None
+    if st[2] is not None:
         rep = el_residual(u_star, ws.config.eps)
         resid, kw = rep.el_residual_norm, rep.kw_residual
     return MinimizeResult(
-        u_star=u_star, value=value, multipliers=multipliers,
-        constraint_violation=viol, el_residual_norm=resid, kw_residual=kw,
-        trace=tuple(trace), status=status, eps=ws.config.eps,
+        u_star=u_star, value=trace[-1].value, multipliers=multipliers,
+        constraint_violation=trace[-1].violation, el_residual_norm=resid,
+        kw_residual=kw, trace=tuple(trace), status=status, eps=ws.config.eps,
         coeff=coeff.copy())
 
 
@@ -238,22 +234,17 @@ def _lbfgs_direction(g: np.ndarray, pairs, h0: np.ndarray) -> np.ndarray:
     return r
 
 
-def _blown_up(st: dict | None) -> bool:
-    """Blow-up detector: exp(2u) overflowed (st is None) or a threshold passed."""
-    return (st is None or st["max_u"] > MAX_U_THRESHOLD
-            or st["mass"] > MASS_THRESHOLD)
+def _blown_up(st: tuple) -> bool:
+    """Blow-up detector: exp(2u) overflowed or a threshold passed."""
+    u, _, report = st
+    return (report is None or float(u.max()) > MAX_U_THRESHOLD
+            or report.mass > MASS_THRESHOLD)
 
 
 def _blowup(ws, coeff, st, lam, mu, trace) -> MinimizeResult:
     """The blowup_detected result at coeff; its last trace entry is the
-    state the detector fired on (st is None if exp overflowed there)."""
-    if st is None:
-        entry = TraceEntry(outer=len(trace), value=None, objective=None,
-                           violation=None, grad_norm=None,
-                           max_u=float(ws.synth(coeff).max()), mass=None,
-                           mu=mu, inner_iters=0)
-    else:
-        entry = _trace_entry(ws, len(trace), st, lam, mu)
+    state the detector fired on."""
+    entry = _trace_entry(ws, len(trace), st, lam, mu)
     return _result(ws, coeff, st, lam, trace + [entry], STATUS_BLOWUP)
 
 
@@ -320,7 +311,7 @@ def minimize(config: MinimizeConfig,
             for _ in range(MAX_BACKTRACKS):
                 trial = coeff + alpha * direction
                 st_trial = ws.state(trial)
-                f_trial = (np.inf if st_trial is None
+                f_trial = (np.inf if st_trial[2] is None
                            else ws.objective(st_trial, lam, mu))
                 if f_trial <= f_cur + ARMIJO_C1 * alpha * slope:
                     accepted = True
@@ -353,12 +344,13 @@ def minimize(config: MinimizeConfig,
             status = STATUS_CONVERGED
             break
 
-        lam = lam + mu * st["mhat"]
+        lam = lam + mu * st[2].normalized_moments
         if viol > config.tol_constraint and viol > prev_viol / 4.0:
             mu *= MU_GROWTH
         prev_viol = viol
 
-    return _result(ws, coeff, st, lam + mu * st["mhat"], trace, status)
+    return _result(ws, coeff, st, lam + mu * st[2].normalized_moments,
+                   trace, status)
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,12 @@ references lists every moved value in CHANGES.md.
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from sphere_mt.cli import GRID_ENV_VAR  # noqa: E402
 from test_golden import CASES, field_diffs, reference_path, run_case  # noqa: E402
 
 
@@ -36,7 +34,6 @@ def main(argv=None) -> int:
     unknown = sorted(set(args.cases) - set(CASES))
     if unknown:
         parser.error(f"unknown case(s) {unknown}; known: {sorted(CASES)}")
-    os.environ.pop(GRID_ENV_VAR, None)
 
     outside = 0
     for name in args.cases or sorted(CASES):

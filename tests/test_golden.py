@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from sphere_mt.cli import GRID_ENV_VAR, main
+from sphere_mt.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -151,8 +151,7 @@ def _is_number(x) -> bool:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden_reference(name, monkeypatch):
-    monkeypatch.delenv(GRID_ENV_VAR, raising=False)
+def test_cli_output_matches_golden_reference(name):
     path = reference_path(name)
     assert path.is_file(), f"no reference {path.name}; run tests/golden/regen.py --write"
     ref = json.loads(path.read_text(encoding="utf-8"))

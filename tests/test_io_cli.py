@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -26,11 +27,38 @@ def test_binary_round_trip_is_bit_exact(tmp_path, sample_field):
     assert np.array_equal(back.values, sample_field.values)
 
 
-def test_json_round_trip_is_bit_exact(tmp_path, sample_field):
+def test_json_encoded_field_is_a_format_error(tmp_path, sample_field, capsys):
+    # binary is the only FieldFile encoding: a header line that embeds the
+    # values (numeric or not) and no payload is malformed input
     path = tmp_path / "f.field.json"
-    write_field(path, sample_field, encoding="json")
-    back = read_field(path)
-    assert np.array_equal(back.values, sample_field.values)
+    write_field(path, sample_field)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    header["encoding"] = "json"
+    for values in (sample_field.values.ravel().tolist(),
+                   ["x"] * sample_field.grid.n_nodes):
+        header["values"] = values
+        path.write_text(json.dumps(header, sort_keys=True) + "\n")
+        with pytest.raises(FormatError):
+            read_field(path)
+        assert main(["check", "--field", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("format error:")
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(0, 0), (1, 4), (-2, -4)])
+def test_header_grid_below_minimum_is_a_format_error(tmp_path, capsys,
+                                                     n_theta, n_phi):
+    # count, payload and hash match the header, but no grid has this shape
+    count = n_theta * n_phi
+    payload = np.zeros(count, dtype="<f8").tobytes()
+    header = {"format_version": 1, "kind": "field", "encoding": "binary",
+              "n_theta": n_theta, "n_phi": n_phi, "count": count,
+              "params": {}, "sha256": hashlib.sha256(payload).hexdigest()}
+    path = tmp_path / "f.field.bin"
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    with pytest.raises(FormatError):
+        read_field(path)
+    assert main(["check", "--field", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("format error:")
 
 
 def test_corrupted_payload_detected(tmp_path, sample_field):
@@ -304,16 +332,6 @@ def test_cli_expansion_table(capsys):
     row = dict(zip(header, [float(x) for x in lines[1].split(",")]))
     assert row["obstruction"] == pytest.approx(1.0 - np.log(2.0), abs=1e-15)
     assert row["I1_numeric"] == pytest.approx(row["I1_closed"], rel=1e-6)
-
-
-def test_cli_grid_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("SPHERE_MT_GRID", "16x32")
-    assert main(["evaluate"]) == 0
-    # zero field on the overridden grid still reports I = 0
-    data = json.loads(capsys.readouterr().out)
-    assert abs(data["improved_I"]) <= 1e-13
-    monkeypatch.setenv("SPHERE_MT_GRID", "bogus")
-    assert main(["evaluate"]) == 2
 
 
 # ------------------------------------------------------------- package

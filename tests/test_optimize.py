@@ -53,8 +53,9 @@ def test_state_log_avg_exp_keeps_relative_accuracy_near_zero(c):
     coeff = np.zeros(17 ** 2)
     coeff[flat_index(3, 1)] = c
     expect = 2.0 * c * c / FOUR_PI
-    assert abs(ws.state(coeff)["log_avg_exp"] - expect) <= 1e-6 * expect
-    u = ScalarField(ws.grid, ws.synth(coeff))
+    u, _, report = ws.state(coeff)
+    assert abs(report.log_avg_exp - expect) <= 1e-6 * expect
+    u = ScalarField(ws.grid, u)
     assert abs(evaluate(u).log_avg_exp - expect) <= 1e-6 * expect
 
 
@@ -126,6 +127,30 @@ def test_random_init_reaches_the_same_basin():
     assert np.max(np.abs(rand_run.multipliers)) < 1e-6
 
 
+def test_workspace_gradient_matches_central_differences():
+    # the gradient the inner loop uses, moment terms included, against
+    # central differences of the objective it minimizes; mode 0 is frozen
+    ws = _Workspace(MinimizeConfig(eps=0.3, L=12, n_theta=48, n_phi=96))
+    rng = np.random.default_rng(5)
+    n = 13 ** 2
+    coeff = 0.3 * rng.standard_normal(n)
+    coeff[0] = 0.0
+    lam, mu = rng.standard_normal(3), MU0
+    ghat = ws.gradient(coeff, ws.state(coeff), lam, mu)
+
+    def f(c):
+        return ws.objective(ws.state(c), lam, mu)
+
+    for _ in range(5):
+        d = rng.standard_normal(n)
+        d[0] = 0.0
+        exact = float(ghat @ d)
+        errs = [abs((f(coeff + h * d) - f(coeff - h * d)) / (2.0 * h) - exact)
+                for h in (1e-3, 1e-4)]
+        assert errs[1] <= 1e-6 * (1.0 + abs(exact))
+        assert np.log10(errs[0] / errs[1]) >= 1.9  # second order
+
+
 def test_inner_steps_decrease_the_augmented_objective():
     # white-box Armijo check on a non-stationary start
     config = MinimizeConfig(eps=0.45, L=12, n_theta=64, n_phi=128,
@@ -147,7 +172,7 @@ def test_inner_steps_decrease_the_augmented_objective():
         for _ in range(60):
             trial = coeff + alpha * direction
             st_trial = ws.state(trial)
-            f_trial = np.inf if st_trial is None else ws.objective(st_trial, lam, mu)
+            f_trial = np.inf if st_trial[2] is None else ws.objective(st_trial, lam, mu)
             if f_trial <= f_prev + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
