@@ -162,13 +162,18 @@ def cmd_check(args) -> int:
 def _load_or_make_field(args) -> ScalarField:
     if args.field:
         return read_field(args.field)
-    grid = build_grid(args.n_theta, args.n_phi)
+    grid = build_grid(DEFAULT_N_THETA if args.n_theta is None else args.n_theta,
+                      DEFAULT_N_PHI if args.n_phi is None else args.n_phi)
     if args.make_bubble_pair is not None:
         return conformal.bubble_pair(args.make_bubble_pair, grid).field
     return ScalarField(grid, np.zeros((grid.n_theta, grid.n_phi)))
 
 
 def cmd_evaluate(args) -> int:
+    if args.field and (args.n_theta is not None or args.n_phi is not None):
+        print("sphere-mt evaluate: error: --n-theta/--n-phi cannot be used "
+              "with --field, whose grid comes from the file", file=sys.stderr)
+        return EXIT_USAGE
     f = _load_or_make_field(args)
     report = functional.evaluate(f, alpha=args.alpha, eps=args.eps)
     text = report_json(report)
@@ -287,9 +292,9 @@ def cmd_expansion(args) -> int:
 
 def _add_grid_flags(p):
     p.add_argument("--n-theta", type=int, default=DEFAULT_N_THETA,
-                   help="colatitude nodes (default %(default)s)")
+                   help=f"colatitude nodes (default {DEFAULT_N_THETA})")
     p.add_argument("--n-phi", type=int, default=DEFAULT_N_PHI,
-                   help="longitude nodes (default %(default)s)")
+                   help=f"longitude nodes (default {DEFAULT_N_PHI})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,6 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="functional report for a field")
     _add_grid_flags(p)
+    # None tells a grid flag given next to --field from the default
+    p.set_defaults(n_theta=None, n_phi=None)
     src = p.add_mutually_exclusive_group()
     src.add_argument("--field", default=None, help="FieldFile to evaluate")
     src.add_argument("--make-bubble-pair", type=float, default=None,

@@ -149,7 +149,9 @@ def build_grid(n_theta: int, n_phi: int) -> SphericalGrid:
     1024 nodes and from ``_gauss_legendre_theta`` (Newton in theta) from
     1024 on: scipy's banded eigensolve costs O(n^2), and its pole weights
     are off by 1.4e-7 relative at n = 2048 and 3e-5 at n = 24576, where
-    Newton in theta is off by 8e-13 and 2e-11.
+    Newton in theta is off by 8e-13 and 2e-11.  Either way cos(theta) is
+    mirror-symmetric bitwise: the southern x is exactly minus the
+    northern x, which the harmonic transform's parity fold relies on.
 
     Raises GridSizeError for n_theta < 2 or n_phi < 4.
     """
@@ -161,6 +163,9 @@ def build_grid(n_theta: int, n_phi: int) -> SphericalGrid:
     if n_theta >= _NEWTON_MIN_N:
         theta, w = _gauss_legendre_theta(n_theta)
         x = np.cos(theta)
+        # cos(pi - t) and -cos(t) can differ in the last bit; the harmonic
+        # transform needs the southern x to be exactly the northern -x
+        x[n_theta - n_theta // 2:] = -x[:n_theta // 2][::-1]
     else:
         x, w = roots_legendre(n_theta)
         order = np.argsort(-x)  # theta ascending == cos(theta) descending

@@ -70,13 +70,17 @@ def read_field(path) -> ScalarField:
     if header.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {header.get('format_version')}")
 
-    try:
-        n_theta = int(header["n_theta"])
-        n_phi = int(header["n_phi"])
-        count = int(header["count"])
-        encoding = header["encoding"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed field header: {exc}") from exc
+    sizes = []
+    for key in ("n_theta", "n_phi", "count"):
+        value = header.get(key)
+        # a JSON integer only; int() would truncate a float, parse a
+        # string and take a bool (an int subclass) as 0 or 1
+        if type(value) is not int:
+            raise FormatError(
+                f"malformed field header: {key} is not an integer: {value!r}")
+        sizes.append(value)
+    n_theta, n_phi, count = sizes
+    encoding = header.get("encoding")
     if count != n_theta * n_phi:
         raise FormatError("header count does not match grid shape")
     if encoding != "binary":

@@ -41,7 +41,10 @@ def test_integrate_odd_symmetry(grid_small):
     assert np.all(np.diff(odd.theta) > 0.0)
     assert odd.theta[512] == np.pi / 2
     assert np.array_equal(odd.weight, odd.weight[::-1])
-    for g in (grid_small, odd):
+    for g in (grid_small, odd, build_grid(1024, 4)):
+        # both generators mirror cos(theta) bitwise about the equator
+        nh = g.n_theta // 2
+        assert np.array_equal(g.cos_theta[:nh], -g.cos_theta[::-1][:nh])
         x1, x2, x3 = coordinate_fields(g)
         for f in (x1, x2, x3):
             assert abs(integrate(f)) <= 1e-13

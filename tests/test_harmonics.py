@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import sph_legendre_p
 
 from sphere_mt import (FOUR_PI, HarmonicSpectrum, ResolutionError,
                        ScalarField, analyze, build_grid, dirichlet_energy,
                        integrate, laplacian, max_degree, synthesize)
-from sphere_mt.harmonics import evaluate_at_points, flat_index
+from sphere_mt.harmonics import (_legendre_tables, evaluate_at_points,
+                                 flat_index)
 from sphere_mt.conformal import MobiusMap, NORTH, mobius_factor
 
 
@@ -75,11 +80,21 @@ def test_analyze_constant_and_dipole(grid_small):
     assert np.max(np.abs(rest)) <= 1e-12
 
 
+# (n_theta, n_phi, L) beyond the fixtures: odd colatitude counts (an
+# equator row) at and below their bound, the smallest grids, both
+# parities of L
+EDGE_CASES = [(25, 48, 22), (255, 512, 200), (2, 4, 0), (3, 8, 1),
+              (24, 48, 21)]
+
+
 def test_round_trip_random_spectrum(grid_default):
     rng = np.random.default_rng(11)
     # an odd longitude count, at its aliasing bound, too
     odd = build_grid(33, 71)
-    for grid, L in ((grid_default, 16), (odd, max_degree(odd))):
+    cases = [(grid_default, 16), (odd, max_degree(odd))]
+    cases += [(build_grid(nt, nph), L) for nt, nph, L in EDGE_CASES]
+    for grid, L in cases:
+        assert L <= max_degree(grid)
         c = rng.uniform(-1.0, 1.0, (L + 1) ** 2)
         s = HarmonicSpectrum(L=L, coeff=c)
         back = analyze(synthesize(s, grid), L)
@@ -192,14 +207,73 @@ def test_high_degree_synthesis_matches_scipy_oracle(grid_hires):
 
 
 def test_evaluate_at_points_matches_synthesize(grid_small, grid_hires):
-    # (grid, L, node rows, bound): every node at low degree, and four
-    # rows of the 256x512 grid at its top degree
-    cases = [(grid_small, 9, slice(None), 1e-11),
-             (grid_hires, 254, slice(None, None, 64), 1e-10)]
+    # (grid, L, node rows, node columns, bound): every node at low degree
+    # and on the edge grids, every row of 255x512 at three longitudes,
+    # and four rows of the 256x512 grid at its top degree.  The
+    # per-point recurrence knows nothing of the northern tables, so it
+    # checks the southern rows and an odd grid's equator row too.
+    every = slice(None)
+    cases = [(grid_small, 9, every, every, 1e-11),
+             (grid_hires, 254, slice(None, None, 64), every, 1e-10)]
+    for nt, nph, L in EDGE_CASES:
+        if nt > 200:  # high degree: the 256x512 case's bound
+            cases.append((build_grid(nt, nph), L, every,
+                          slice(None, None, 200), 1e-10))
+        else:
+            cases.append((build_grid(nt, nph), L, every, every, 1e-11))
     rng = np.random.default_rng(13)
-    for grid, L, rows, bound in cases:
+    for grid, L, rows, cols, bound in cases:
         s = HarmonicSpectrum(L=L, coeff=rng.standard_normal((L + 1) ** 2))
-        f = synthesize(s, grid).values[rows]
-        th, ph = np.meshgrid(grid.theta[rows], grid.phi, indexing="ij")
+        f = synthesize(s, grid).values[rows, cols]
+        th, ph = np.meshgrid(grid.theta[rows], grid.phi[cols], indexing="ij")
         vals = evaluate_at_points(s, th.ravel(), ph.ravel())
         assert np.max(np.abs(vals.reshape(f.shape) - f)) <= bound
+
+
+def test_legendre_table_holds_half_the_nodes(grid_hires):
+    # paired-m slabs on the northern 128 of 256 colatitudes: about 34 MB
+    L = 254
+    tables = _legendre_tables(grid_hires, L)
+    assert tables.nbytes <= (L // 2 + 1) * (L + 2) * 128 * 8
+
+
+def test_transforms_reject_a_grid_that_is_not_mirror_symmetric():
+    # a shape no other test builds, so no cached table answers for it
+    g = build_grid(7, 13)
+    xyz = g.xyz.copy()
+    xyz[-1, :, 2] = np.nextafter(xyz[-1, :, 2], 0.0)
+    bad = dataclasses.replace(g, xyz=xyz)
+    with pytest.raises(ResolutionError, match="mirror-symmetric"):
+        analyze(ScalarField(bad, np.zeros((7, 13))), 2)
+    with pytest.raises(ResolutionError, match="mirror-symmetric"):
+        synthesize(HarmonicSpectrum(L=2, coeff=np.zeros(9)), bad)
+
+
+# Random grid shapes, odd n_theta included, and any degree they resolve.
+@st.composite
+def grid_and_degree(draw):
+    grid = build_grid(draw(st.integers(2, 40)), draw(st.integers(4, 81)))
+    return grid, draw(st.integers(0, max_degree(grid)))
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True,
+                             deadline=None, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(grid_and_degree(), st.integers(0, 2 ** 32 - 1))
+def test_property_round_trip(case, seed):
+    grid, L = case
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, (L + 1) ** 2)
+    back = analyze(synthesize(HarmonicSpectrum(L=L, coeff=c), grid), L)
+    assert np.max(np.abs(back.coeff - c)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(grid_and_degree(), st.integers(0, 2 ** 32 - 1))
+def test_property_parseval(case, seed):
+    grid, L = case
+    c = np.random.default_rng(seed).standard_normal((L + 1) ** 2)
+    f = synthesize(HarmonicSpectrum(L=L, coeff=c), grid)
+    quad = integrate(ScalarField(grid, f.values ** 2))
+    assert abs(quad - np.sum(c ** 2)) <= 1e-10 * np.sum(c ** 2)

@@ -61,6 +61,26 @@ def test_header_grid_below_minimum_is_a_format_error(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("format error:")
 
 
+@pytest.mark.parametrize("sizes", [
+    {"n_theta": 8.9, "count": 128.4},           # int() truncated both
+    {"n_theta": 8.0, "n_phi": 16.0, "count": 128.0},
+    {"n_theta": "8", "n_phi": "16", "count": "128"},
+    {"n_phi": True},
+])
+def test_header_sizes_must_be_json_integers(tmp_path, capsys, sizes):
+    # an 8x16 payload whose count and hash match; only the size types differ
+    payload = np.zeros(128, dtype="<f8").tobytes()
+    header = {"format_version": 1, "kind": "field", "encoding": "binary",
+              "n_theta": 8, "n_phi": 16, "count": 128, "params": {},
+              "sha256": hashlib.sha256(payload).hexdigest(), **sizes}
+    path = tmp_path / "f.field.bin"
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    with pytest.raises(FormatError, match="not an integer"):
+        read_field(path)
+    assert main(["evaluate", "--field", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("format error:")
+
+
 def test_corrupted_payload_detected(tmp_path, sample_field):
     path = tmp_path / "f.field.bin"
     write_field(path, sample_field)
@@ -252,6 +272,21 @@ def test_cli_evaluate_bubble_pair_moments(capsys):
     data = json.loads(capsys.readouterr().out)
     assert max(abs(m) for m in data["moments"]) <= 1e-10
     assert data["alpha"] == 0.4
+
+
+def test_cli_evaluate_field_rejects_grid_flags(tmp_path, capsys):
+    # the file fixes the grid, so explicit grid flags are a usage error
+    path = tmp_path / "u.field.bin"
+    write_field(path, ScalarField(build_grid(8, 16), np.zeros((8, 16))))
+    for flags in (["--n-theta", "3", "--n-phi", "4"], ["--n-phi", "128"],
+                  ["--n-theta", "64"]):
+        assert main(["evaluate", "--field", str(path)] + flags) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--field" in captured.err and "--n-theta" in captured.err
+    assert main(["evaluate", "--field", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["mass"] > 0.0
 
 
 def test_cli_evaluate_overflowing_field_exits_10(tmp_path):
