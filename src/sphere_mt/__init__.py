@@ -19,8 +19,7 @@ from .errors import (FormatError, GridSizeError, InvariantViolation,
                      NonFiniteFieldError, RangeOverflowError,
                      ResolutionError, SphereMTError)
 from .grid import (FOUR_PI, ScalarField, SphericalGrid, average, build_grid,
-                   constant_field, coordinate_fields, integrate,
-                   pointwise_map)
+                   constant_field, integrate)
 from .harmonics import (HarmonicSpectrum, analyze, dirichlet_energy,
                         laplacian, max_degree, synthesize)
 from .conformal import (BubblePairField, MobiusMap, bubble_mass, bubble_pair,
@@ -38,7 +37,7 @@ __all__ = [
     "NonFiniteFieldError", "RangeOverflowError", "ResolutionError",
     "SphereMTError",
     "FOUR_PI", "ScalarField", "SphericalGrid", "average", "build_grid",
-    "constant_field", "coordinate_fields", "integrate", "pointwise_map",
+    "constant_field", "integrate",
     "HarmonicSpectrum", "analyze", "dirichlet_energy", "laplacian",
     "max_degree", "synthesize",
     "BubblePairField", "MobiusMap", "bubble_mass", "bubble_pair",

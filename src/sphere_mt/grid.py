@@ -8,36 +8,29 @@ never touch the poles, so integrands with logarithmic pole singularities
 are finitely sampled (their quadrature accuracy is only algebraic; see
 the Green's-function tests).
 
-Two generators make the Gauss-Legendre rule, switched by size:
-
-* below ``_NEWTON_MIN_N = 1024`` nodes, ``scipy.special.roots_legendre``,
-  which is the faster one there and keeps every default-size output
-  byte-stable;
-* from 1024 nodes on, ``_gauss_legendre_theta``: Newton in theta on
-  P_n(cos theta) from Tricomi's initial guess.  scipy solves a banded
-  eigenproblem that costs O(n^2) with a large constant (about 18 s at
-  n = 24576, against under 2 s for Newton), and its nodes and weights lose
-  accuracy near the poles, where x = cos(theta) is close to 1: at
-  n = 24576 its first pole weight is off by 3e-5 relative, Newton in
-  theta by 2e-11.
+The Gauss-Legendre rule comes from one generator at every size,
+``_gauss_legendre_theta``: Newton in theta on P_n(cos theta) from
+Tricomi's initial guess (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
+Working in theta keeps the nodes and weights accurate near the poles,
+where x = cos(theta) is close to 1, and costs O(n) per Newton step.
+``build_grid`` caches each shape, so a grid is built once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import index
 
 import numpy as np
-from scipy.special import roots_legendre
 
-from .errors import GridSizeError, NonFiniteFieldError, RangeOverflowError
+from .errors import GridSizeError, NonFiniteFieldError
 
 FOUR_PI = 4.0 * np.pi
 
 MIN_N_THETA = 2
 MIN_N_PHI = 4
 
-# size from which build_grid uses _gauss_legendre_theta instead of scipy
-_NEWTON_MIN_N = 1024
 # Tricomi's guess needs at most four Newton steps; the cap only bounds
 # steps that roundoff keeps above the tolerance
 _NEWTON_MAX_STEPS = 10
@@ -142,36 +135,32 @@ def _gauss_legendre_theta(n: int):
             np.concatenate((w, w[:n // 2][::-1])))
 
 
+@lru_cache(maxsize=16, typed=True)
 def build_grid(n_theta: int, n_phi: int) -> SphericalGrid:
     """Build the Gauss-Legendre x uniform-longitude quadrature grid.
 
-    The colatitude rule comes from ``scipy.special.roots_legendre`` below
-    1024 nodes and from ``_gauss_legendre_theta`` (Newton in theta) from
-    1024 on: scipy's banded eigensolve costs O(n^2), and its pole weights
-    are off by 1.4e-7 relative at n = 2048 and 3e-5 at n = 24576, where
-    Newton in theta is off by 8e-13 and 2e-11.  Either way cos(theta) is
-    mirror-symmetric bitwise: the southern x is exactly minus the
-    northern x, which the harmonic transform's parity fold relies on.
+    The colatitude rule is ``_gauss_legendre_theta``; its cos(theta) is
+    mirror-symmetric bitwise (the southern x is exactly minus the
+    northern x), which the harmonic transform's parity fold relies on.
+    Sizes go through operator.index, so they are stored as Python ints
+    and a float size raises TypeError.  The last 16 shapes are cached,
+    keyed by argument type too, so 8.0 never hits the entry of 8: a
+    SphericalGrid is frozen and its arrays are read-only, so callers
+    share one grid per shape.
 
     Raises GridSizeError for n_theta < 2 or n_phi < 4.
     """
+    n_theta, n_phi = index(n_theta), index(n_phi)
     if n_theta < MIN_N_THETA:
         raise GridSizeError(f"n_theta={n_theta} below minimum {MIN_N_THETA}")
     if n_phi < MIN_N_PHI:
         raise GridSizeError(f"n_phi={n_phi} below minimum {MIN_N_PHI}")
 
-    if n_theta >= _NEWTON_MIN_N:
-        theta, w = _gauss_legendre_theta(n_theta)
-        x = np.cos(theta)
-        # cos(pi - t) and -cos(t) can differ in the last bit; the harmonic
-        # transform needs the southern x to be exactly the northern -x
-        x[n_theta - n_theta // 2:] = -x[:n_theta // 2][::-1]
-    else:
-        x, w = roots_legendre(n_theta)
-        order = np.argsort(-x)  # theta ascending == cos(theta) descending
-        x = x[order]
-        w = w[order]
-        theta = np.arccos(x)
+    theta, w = _gauss_legendre_theta(n_theta)
+    x = np.cos(theta)
+    # cos(pi - t) and -cos(t) can differ in the last bit; the harmonic
+    # transform needs the southern x to be exactly the northern -x
+    x[n_theta - n_theta // 2:] = -x[:n_theta // 2][::-1]
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     weight = w * (2.0 * np.pi / n_phi)
 
@@ -224,11 +213,6 @@ def constant_field(grid: SphericalGrid, value: float = 0.0) -> ScalarField:
     return ScalarField(grid, np.full((grid.n_theta, grid.n_phi), float(value)))
 
 
-def coordinate_fields(grid: SphericalGrid):
-    """The three Cartesian coordinate functions x1, x2, x3 as fields."""
-    return tuple(ScalarField(grid, grid.xyz[:, :, i]) for i in range(3))
-
-
 def integrate(f: ScalarField) -> float:
     """Quadrature integral of f over S^2 (weights sum to 4*pi)."""
     return integrate_values(f.grid, f.values)
@@ -243,21 +227,3 @@ def integrate_values(grid: SphericalGrid, values: np.ndarray) -> float:
     """integrate() for a raw (n_theta, n_phi) array; no finiteness check."""
     return float(np.dot(grid.weight, values.sum(axis=1)))
 
-
-def pointwise_map(f: ScalarField, map_fn) -> ScalarField:
-    """Apply a scalar function node-wise; the grid is shared.
-
-    Overflow to Inf/NaN raises RangeOverflowError naming the largest
-    input sample and its node, which callers treat as a blow-up signal.
-    """
-    with np.errstate(all="ignore"):
-        out = map_fn(f.values)
-    out = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out)):
-        j = int(np.argmax(f.values))
-        jt, jp = np.unravel_index(j, f.values.shape)
-        raise RangeOverflowError(
-            f"pointwise map overflowed; max input value {f.values.max():.6g} "
-            f"at node (theta={f.grid.theta[jt]:.6f}, phi={f.grid.phi[jp]:.6f})",
-            max_value=f.values.max(), node=(int(jt), int(jp)))
-    return ScalarField(f.grid, out)

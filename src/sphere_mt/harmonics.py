@@ -9,9 +9,10 @@ Basis convention: orthonormal real harmonics
 where p_{l,m} are the fully normalized associated Legendre functions
 (no Condon-Shortley phase), so that integrate(Y_a * Y_b) = delta_ab.
 One generator runs the stable normalized three-term recurrence for
-p_{l,m} (accurate well beyond degree 128) in m-major row order: the
-transform tables take its rows at the grid's own nodes (grid.cos_theta),
-and evaluate_at_points accumulates them point by point.
+p_{l,m} (accurate well beyond degree 128) in m-major row order; the
+transform tables take its rows at the grid's own nodes, with
+x = grid.cos_theta and s = sin(grid.theta), which near the poles keeps
+digits that sqrt(1 - x^2) loses.
 
 Longitude sums are real FFTs both ways: analysis takes rfft of the node
 values, and synthesis fills the half-spectrum F[:, m] = (g_c - i g_s)/sqrt(2)
@@ -26,9 +27,9 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   equator row entering both once; degree l of order m reads the part
   of the parity of l + m.  Synthesis unfolds: north = even + odd,
   south = even - odd.  This needs the southern cos(theta) to be exactly
-  the mirrored northern one, which both Gauss-Legendre generators of
-  grid.build_grid give; the table builder raises ResolutionError for a
-  grid that is not mirror-symmetric.
+  the mirrored northern one, which every grid.build_grid grid gives;
+  the table builder raises ResolutionError for a grid that is not
+  mirror-symmetric.
 * Paired-m slabs.  Order m has L + 1 - m rows and order L - m has
   m + 1, so the two share one slab of L + 2 rows: a dense array of
   shape (L//2 + 1, ceil(n_theta/2), L + 2), padded only in the middle
@@ -125,16 +126,6 @@ def _legendre_rows(x: np.ndarray, s: np.ndarray, L: int):
 
 
 @lru_cache(maxsize=16)
-def _m_major_index(L: int):
-    """Flat positions of c_{l,m} and c_{l,-m} for l = m..L, one array per m."""
-    m, l = np.triu_indices(L + 1)
-    pos, neg = l * l + l + m, l * l + l - m
-    pos.flags.writeable = neg.flags.writeable = False
-    blocks = np.cumsum(np.arange(L + 1, 1, -1))
-    return np.split(pos, blocks), np.split(neg, blocks)
-
-
-@lru_cache(maxsize=16)
 def _legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
     """p_{l,m}(x_j) at the northern GL nodes, packed in paired-m slabs.
 
@@ -150,8 +141,7 @@ def _legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
         raise ResolutionError(
             f"grid ({grid.n_theta}, {grid.n_phi}) nodes are not "
             "mirror-symmetric about the equator")
-    x = x[:h]
-    rows = _legendre_rows(x, np.sqrt(1.0 - x * x), L)
+    rows = _legendre_rows(x[:h], np.sin(grid.theta[:h]), L)
     slabs = np.zeros((L // 2 + 1, h, L + 2))
     for m in range(L + 1):
         k, r = (m, 0) if 2 * m <= L else (L - m, m + 1)
@@ -243,33 +233,6 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
                               - eo[:, :, 1, :nh]).transpose(2, 0, 1)
     # n= keeps the output length right for odd n_phi
     return ScalarField(grid, np.fft.irfft(F, n=grid.n_phi, axis=1) * grid.n_phi)
-
-
-def evaluate_at_points(s: HarmonicSpectrum, theta: np.ndarray,
-                       phi: np.ndarray) -> np.ndarray:
-    """Evaluate the spectral sum at arbitrary points (exact resampling).
-
-    The Legendre recurrence runs per point; memory stays O(n_points) by
-    accumulating its rows without materializing the full table.
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
-    L = s.L
-    rows = _legendre_rows(np.cos(theta), np.sin(theta), L)
-    pos, neg = _m_major_index(L)
-    out = np.zeros_like(theta)
-    for m in range(L + 1):
-        acc_c = np.zeros_like(theta)
-        acc_s = np.zeros_like(theta)
-        for jc, js, p in zip(pos[m], neg[m], islice(rows, L + 1 - m)):
-            acc_c += s.coeff[jc] * p
-            if m > 0:
-                acc_s += s.coeff[js] * p
-        if m == 0:
-            out += acc_c
-        else:
-            out += SQRT2 * (acc_c * np.cos(m * phi) + acc_s * np.sin(m * phi))
-    return out
 
 
 def laplacian(s: HarmonicSpectrum) -> HarmonicSpectrum:

@@ -4,6 +4,7 @@ FieldFile: one JSON header line followed by the node values as raw
 little-endian float64 in row-major (theta outer, phi inner) order.  The
 header carries the grid shape, creation parameters, the encoding (always
 "binary") and a sha256 of the payload, so corruption is detected on read.
+A read takes its grid from build_grid's per-shape cache.
 
 Reports serialize dataclasses to JSON; floats go through Python's
 shortest round-trip repr, which reloads bit-exactly.  Non-finite values
@@ -51,11 +52,11 @@ def write_field(path, field: ScalarField, params: dict | None = None) -> None:
 
 
 def read_field(path) -> ScalarField:
-    """Load a FieldFile, rebuilding its grid from the header shape.
+    """Load a FieldFile on the grid of its header shape.
 
-    The grid is built anew, uncached, on every read: a tall rule pays a
-    full Gauss-Legendre build each time, and no grid is shared between
-    callers.
+    The grid comes from build_grid's cache, so a read shares the one
+    read-only grid of that shape with every other caller and pays a
+    Gauss-Legendre build only for a shape not built before.
     """
     data = Path(path).read_bytes()
     newline = data.find(b"\n")

@@ -1,14 +1,17 @@
 """Independent 1-D oracles for the sphere tests.
 
 Everything here is derived in the colatitude variable c = cos(theta)
-with adaptive scipy quadrature, closed antiderivatives or 40-digit mpmath
-arithmetic, never through the package's own grids or transforms, so it
-can arbitrate them.
+with adaptive scipy quadrature, closed antiderivatives, scipy's own
+spherical Legendre functions or 40-digit mpmath arithmetic, never
+through the package's own grids or transforms, so it can arbitrate them.
 """
+
+import math
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import sph_legendre_p_all
 
 FOUR_PI = 4.0 * np.pi
 
@@ -105,3 +108,39 @@ def gauss_legendre_node(n: int, k: int, dps: int = 40):
         _, p_prev = p_pair(x)
         weight = 2 * (1 - x * x) / (n * p_prev) ** 2
         return float(mpmath.acos(x)), float(weight)
+
+
+def evaluate_at_points(coeff, theta, phi):
+    """sum_lm c_lm Y_lm at arbitrary points, coefficients flat l*l + l + m.
+
+    Y_{l,0} = p_{l,0}(cos theta), Y_{l,+-m} = sqrt(2) p_{l,m}(cos theta)
+    (cos, sin)(m phi), with p_{l,m} from scipy's sph_legendre_p_all and
+    its (-1)^m Condon-Shortley factor removed.  Tables are taken per
+    distinct theta, about 32 MB of them at a time: one table over every
+    point would hold (L+1)(2L+1) values per point, 2.1 GB for 2048
+    points at L = 254.
+    """
+    coeff = np.asarray(coeff, dtype=float)
+    theta = np.asarray(theta, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    L = math.isqrt(coeff.size) - 1
+    l, m = np.tril_indices(L + 1)
+    c_cos = np.zeros((L + 1, L + 1))
+    c_sin = np.zeros((L + 1, L + 1))
+    c_cos[l, m] = coeff[l * l + l + m]
+    c_sin[l, m] = coeff[l * l + l - m]
+    phase = (-1.0) ** np.arange(L + 1)
+    nodes, where = np.unique(theta, return_inverse=True)
+    # g[k, 0, m] = sum_l c_{l,m} p_{l,m}, g[k, 1, m] = sum_l c_{l,-m} p_{l,m}
+    g = np.empty((nodes.size, 2, L + 1))
+    block = max(1, (1 << 25) // (8 * (L + 1) * (2 * L + 1)))
+    for i in range(0, nodes.size, block):
+        p = sph_legendre_p_all(L, L, nodes[i:i + block])[0][:, :L + 1]
+        p = p * phase[None, :, None]
+        g[i:i + block, 0] = np.einsum("lm,lmk->km", c_cos, p)
+        g[i:i + block, 1] = np.einsum("lm,lmk->km", c_sin, p)
+    scale = np.full(L + 1, np.sqrt(2.0))
+    scale[0] = 1.0
+    mphi = np.outer(phi, np.arange(L + 1))
+    g = g[where] * scale
+    return np.sum(g[:, 0] * np.cos(mphi) + g[:, 1] * np.sin(mphi), axis=1)

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from sphere_mt import (FOUR_PI, GridSizeError, NonFiniteFieldError,
-                       RangeOverflowError, ScalarField, average, build_grid,
-                       constant_field, coordinate_fields, integrate,
-                       pointwise_map)
+                       ScalarField, average, build_grid, constant_field,
+                       integrate)
+from sphere_mt.io import read_field, write_field
 
 from _oracles import gauss_legendre_node, ln_sin_sphere_integral
 
 
 def test_total_weight_is_sphere_area(grid_small):
-    # 1025 nodes: odd, and above the switch to Newton in theta
+    # 1025 nodes: odd, with an equator node
     for g in (grid_small, build_grid(1025, 4)):
         assert abs(g.weight.sum() * g.n_phi - FOUR_PI) <= 1e-12 * FOUR_PI
         assert abs(integrate(constant_field(g, 1.0)) - FOUR_PI) \
@@ -37,30 +37,52 @@ def test_integrate_second_moment(grid_small):
 
 
 def test_integrate_odd_symmetry(grid_small):
-    odd = build_grid(1025, 4)
-    assert np.all(np.diff(odd.theta) > 0.0)
-    assert odd.theta[512] == np.pi / 2
-    assert np.array_equal(odd.weight, odd.weight[::-1])
-    for g in (grid_small, odd, build_grid(1024, 4)):
-        # both generators mirror cos(theta) bitwise about the equator
+    # the harmonic transform's parity fold needs the southern nodes to
+    # mirror the northern ones bitwise, at every size
+    sizes = (*range(2, 301), 1024, 1025)
+    for g in (grid_small, *(build_grid(n, 4) for n in sizes)):
         nh = g.n_theta // 2
+        assert np.all(np.diff(g.theta) > 0.0)
         assert np.array_equal(g.cos_theta[:nh], -g.cos_theta[::-1][:nh])
-        x1, x2, x3 = coordinate_fields(g)
-        for f in (x1, x2, x3):
-            assert abs(integrate(f)) <= 1e-13
+        assert np.array_equal(g.weight, g.weight[::-1])
+        if g.n_theta % 2:
+            assert g.theta[nh] == np.pi / 2
+        for i in range(3):
+            assert abs(integrate(ScalarField(g, g.xyz[:, :, i]))) <= 1e-13
         cos_theta = ScalarField(g, np.broadcast_to(
             g.cos_theta[:, None], (g.n_theta, g.n_phi)).copy())
         assert abs(integrate(cos_theta)) <= 1e-13
 
 
 def test_gauss_legendre_nodes_match_mpmath_oracle():
-    n = 2048
-    g = build_grid(n, 4)
-    for k in (0, 1, 2, n // 4, n // 2 - 1):
-        theta, weight = gauss_legendre_node(n, k)
-        assert g.theta[k] == pytest.approx(theta, rel=1e-14, abs=0.0)
-        assert g.weight[k] * g.n_phi / (2.0 * np.pi) == pytest.approx(
-            weight, rel=1e-10, abs=0.0)
+    # every northern node up to 64 nodes, every sixth and the two next
+    # to the pole at 255 and 256; a sample of a tall rule, with its
+    # looser historical weight bound
+    cases = [(n, range((n + 1) // 2), 1e-12) for n in (2, 3, 48, 64)]
+    cases += [(n, sorted({1, 2, *range(0, (n + 1) // 2, 6)}), 1e-12)
+              for n in (255, 256)]
+    cases.append((2048, (0, 1, 2, 512, 1023), 1e-10))
+    for n, nodes, weight_rel in cases:
+        g = build_grid(n, 4)
+        for k in nodes:
+            theta, weight = gauss_legendre_node(n, k)
+            assert g.theta[k] == pytest.approx(theta, rel=1e-14, abs=0.0)
+            assert g.weight[k] * g.n_phi / (2.0 * np.pi) == pytest.approx(
+                weight, rel=weight_rel, abs=0.0)
+
+
+def test_build_grid_takes_integer_sizes_and_shares_read_only_grids(tmp_path):
+    g = build_grid(np.int64(8), np.int64(16))
+    assert type(g.n_theta) is int and type(g.n_phi) is int
+    write_field(tmp_path / "f.field", constant_field(g, 1.0))
+    assert read_field(tmp_path / "f.field").grid is build_grid(8, 16)
+    # a float size is refused even once the int-keyed grid is cached
+    with pytest.raises(TypeError):
+        build_grid(8.0, 16)
+    cached = build_grid(8, 16)
+    for arr in (cached.theta, cached.weight, cached.xyz):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_tall_rule_integrates_its_top_even_monomial(grid_tall):
@@ -124,24 +146,6 @@ def test_scalar_field_rejects_nan(grid_small):
         ScalarField(grid_small, np.zeros((5, 5)))
     with pytest.raises(GridSizeError):  # same node count, transposed
         ScalarField(grid_small, np.zeros((grid_small.n_phi, grid_small.n_theta)))
-
-
-def test_pointwise_map_basics(grid_small):
-    zero = constant_field(grid_small, 0.0)
-    out = pointwise_map(zero, lambda v: np.exp(2.0 * v))
-    assert np.all(out.values == 1.0)
-    from sphere_mt import green_two_pole
-    G = green_two_pole(grid_small)
-    ident = pointwise_map(G, lambda v: v)
-    assert np.array_equal(ident.values, G.values)
-
-
-def test_pointwise_map_overflow_reports_max_value(grid_small):
-    f = constant_field(grid_small, 400.0)
-    with pytest.raises(RangeOverflowError) as info:
-        pointwise_map(f, lambda v: np.exp(2.0 * v))
-    assert info.value.max_value == pytest.approx(400.0)
-    assert "400" in str(info.value)
 
 
 def test_fields_are_immutable(grid_small):
