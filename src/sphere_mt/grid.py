@@ -159,8 +159,11 @@ def build_grid(n_theta: int, n_phi: int) -> SphericalGrid:
     theta, w = _gauss_legendre_theta(n_theta)
     x = np.cos(theta)
     # cos(pi - t) and -cos(t) can differ in the last bit; the harmonic
-    # transform needs the southern x to be exactly the northern -x
+    # transform needs the southern x to be exactly the northern -x.
+    # cos(pi/2) is 6.1e-17, so an odd grid's equator row is set to 0.
     x[n_theta - n_theta // 2:] = -x[:n_theta // 2][::-1]
+    if n_theta % 2:
+        x[n_theta // 2] = 0.0
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     weight = w * (2.0 * np.pi / n_phi)
 

@@ -125,23 +125,30 @@ def _legendre_rows(x: np.ndarray, s: np.ndarray, L: int):
         pmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * pmm
 
 
-@lru_cache(maxsize=16)
 def _legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
     """p_{l,m}(x_j) at the northern GL nodes, packed in paired-m slabs.
 
     Shape (L//2 + 1, ceil(n_theta/2), L + 2): slab k holds rows l = k..L
     of m = k in columns 0..L-k, then rows l = L-k..L of m = L-k in
-    columns L+1-k..L+1 (zero for the middle slab of an even L).  Cached
-    per (grid, L); grids compare by shape.  Raises ResolutionError if
-    the southern nodes are not exactly the mirrored northern ones.
+    columns L+1-k..L+1 (zero for the middle slab of an even L).  Raises
+    ResolutionError if the southern nodes are not exactly the mirrored
+    northern ones.  The check runs on every call: the tables are cached
+    per (grid, L) and grids compare by shape, so a hand-made grid of a
+    shape already tabulated would otherwise skip it.
     """
     x = grid.cos_theta
-    nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
+    nh = grid.n_theta // 2
     if not np.array_equal(x[:nh], -x[::-1][:nh]):
         raise ResolutionError(
             f"grid ({grid.n_theta}, {grid.n_phi}) nodes are not "
             "mirror-symmetric about the equator")
-    rows = _legendre_rows(x[:h], np.sin(grid.theta[:h]), L)
+    return _cached_legendre_tables(grid, L)
+
+
+@lru_cache(maxsize=16)
+def _cached_legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
+    h = (grid.n_theta + 1) // 2
+    rows = _legendre_rows(grid.cos_theta[:h], np.sin(grid.theta[:h]), L)
     slabs = np.zeros((L // 2 + 1, h, L + 2))
     for m in range(L + 1):
         k, r = (m, 0) if 2 * m <= L else (L - m, m + 1)

@@ -47,6 +47,9 @@ def test_integrate_odd_symmetry(grid_small):
         assert np.array_equal(g.weight, g.weight[::-1])
         if g.n_theta % 2:
             assert g.theta[nh] == np.pi / 2
+            # exactly 0, not cos(pi/2) = 6.1e-17
+            assert g.cos_theta[nh] == 0.0
+            assert not g.xyz[nh, :, 2].any()
         for i in range(3):
             assert abs(integrate(ScalarField(g, g.xyz[:, :, i]))) <= 1e-13
         cos_theta = ScalarField(g, np.broadcast_to(
