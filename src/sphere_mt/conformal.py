@@ -177,15 +177,15 @@ class BubblePairField:
 
 
 def bubble_pair(t: float, grid: SphericalGrid) -> BubblePairField:
-    """Superpose conformal factors at the two poles."""
+    """Superpose conformal factors at the two poles.
+
+    The moments cancel to roundoff on antipodal nodes: n_phi is even,
+    and every SphericalGrid is mirror-symmetric in cos(theta).
+    """
     _check_t(grid, t)
     if grid.n_phi % 2 != 0:
         raise ResolutionError("bubble_pair requires even n_phi for exact "
                               "antipodal node remapping")
-    # Gauss-Legendre nodes are symmetric in cos(theta); guard regardless.
-    c = grid.cos_theta
-    if not np.allclose(c, -c[::-1], atol=1e-13):
-        raise ResolutionError("grid colatitudes are not symmetric in cos(theta)")
     north = mobius_factor(MobiusMap(NORTH, t), grid)
     south = mobius_factor(MobiusMap(SOUTH, t), grid)
     return BubblePairField(t=float(t), field=ScalarField(grid, north.values + south.values))

@@ -15,7 +15,8 @@ class GridSizeError(SphereMTError, ValueError):
 
 
 class ResolutionError(SphereMTError, ValueError):
-    """Requested degree or dilation exceeds what the grid resolves."""
+    """Requested degree or dilation exceeds what the grid resolves, or
+    grid nodes lack the mirror symmetry the transforms need."""
 
 
 class NonFiniteFieldError(SphereMTError, ValueError):

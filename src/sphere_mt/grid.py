@@ -14,6 +14,10 @@ Tricomi's initial guess (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
 Working in theta keeps the nodes and weights accurate near the poles,
 where x = cos(theta) is close to 1, and costs O(n) per Newton step.
 ``build_grid`` caches each shape, so a grid is built once per process.
+
+Grids compare and hash by identity, so a cache keyed by a grid never
+serves it the entries of another grid of the same shape, and a grid
+checks its mirror symmetry once, when it is built (see SphericalGrid).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import GridSizeError, NonFiniteFieldError
+from .errors import GridSizeError, NonFiniteFieldError, ResolutionError
 
 FOUR_PI = 4.0 * np.pi
 
@@ -36,9 +40,14 @@ MIN_N_PHI = 4
 _NEWTON_MAX_STEPS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalGrid:
-    """Immutable quadrature grid on S^2.
+    """Immutable quadrature grid on S^2, equal only to itself.
+
+    Construction, dataclasses.replace included, raises ResolutionError
+    unless cos_theta == -cos_theta[::-1] bitwise (so an odd grid's
+    equator is exactly 0): the transforms' parity fold and the zero
+    moments of bubble pairs rely on it, and nothing checks it again.
 
     Attributes
     ----------
@@ -71,15 +80,12 @@ class SphericalGrid:
     def n_nodes(self) -> int:
         return self.n_theta * self.n_phi
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SphericalGrid)
-            and self.n_theta == other.n_theta
-            and self.n_phi == other.n_phi
-        )
-
-    def __hash__(self):
-        return hash((self.n_theta, self.n_phi))
+    def __post_init__(self):
+        x = self.cos_theta
+        if not np.array_equal(x, -x[::-1]):
+            raise ResolutionError(
+                f"grid ({self.n_theta}, {self.n_phi}) nodes are not "
+                "mirror-symmetric about the equator")
 
 
 def _legendre_pair(theta: np.ndarray, n: int):
@@ -158,8 +164,8 @@ def build_grid(n_theta: int, n_phi: int) -> SphericalGrid:
 
     theta, w = _gauss_legendre_theta(n_theta)
     x = np.cos(theta)
-    # cos(pi - t) and -cos(t) can differ in the last bit; the harmonic
-    # transform needs the southern x to be exactly the northern -x.
+    # cos(pi - t) and -cos(t) can differ in the last bit; SphericalGrid
+    # requires the southern x to be exactly the northern -x.
     # cos(pi/2) is 6.1e-17, so an odd grid's equator row is set to 0.
     x[n_theta - n_theta // 2:] = -x[:n_theta // 2][::-1]
     if n_theta % 2:

@@ -27,9 +27,9 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   equator row entering both once; degree l of order m reads the part
   of the parity of l + m.  Synthesis unfolds: north = even + odd,
   south = even - odd.  This needs the southern cos(theta) to be exactly
-  the mirrored northern one, which every grid.build_grid grid gives;
-  the table builder raises ResolutionError for a grid that is not
-  mirror-symmetric.
+  the mirrored northern one, which SphericalGrid checks when a grid is
+  built.  The tables are cached per (grid, L), and a grid equals only
+  itself, so every grid gets the tables of its own nodes.
 * Paired-m slabs.  Order m has L + 1 - m rows and order L - m has
   m + 1, so the two share one slab of L + 2 rows: a dense array of
   shape (L//2 + 1, ceil(n_theta/2), L + 2), padded only in the middle
@@ -125,28 +125,18 @@ def _legendre_rows(x: np.ndarray, s: np.ndarray, L: int):
         pmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * pmm
 
 
+@lru_cache(maxsize=16)
 def _legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
     """p_{l,m}(x_j) at the northern GL nodes, packed in paired-m slabs.
 
     Shape (L//2 + 1, ceil(n_theta/2), L + 2): slab k holds rows l = k..L
     of m = k in columns 0..L-k, then rows l = L-k..L of m = L-k in
     columns L+1-k..L+1 (zero for the middle slab of an even L).  Raises
-    ResolutionError if the southern nodes are not exactly the mirrored
-    northern ones.  The check runs on every call: the tables are cached
-    per (grid, L) and grids compare by shape, so a hand-made grid of a
-    shape already tabulated would otherwise skip it.
+    ResolutionError or ValueError for a degree the grid does not
+    resolve; the check runs on a cache miss only, since a cached
+    (grid, L) has passed it.
     """
-    x = grid.cos_theta
-    nh = grid.n_theta // 2
-    if not np.array_equal(x[:nh], -x[::-1][:nh]):
-        raise ResolutionError(
-            f"grid ({grid.n_theta}, {grid.n_phi}) nodes are not "
-            "mirror-symmetric about the equator")
-    return _cached_legendre_tables(grid, L)
-
-
-@lru_cache(maxsize=16)
-def _cached_legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
+    _check_degree(grid, L)
     h = (grid.n_theta + 1) // 2
     rows = _legendre_rows(grid.cos_theta[:h], np.sin(grid.theta[:h]), L)
     slabs = np.zeros((L // 2 + 1, h, L + 2))
@@ -197,7 +187,6 @@ def _check_degree(grid: SphericalGrid, L: int):
 def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
     """Project a field onto harmonics up to degree L: c_lm = integrate(f*Y_lm)."""
     grid = f.grid
-    _check_degree(grid, L)
     slabs = _legendre_tables(grid, L)
     flat, scale, pair_m, _ = _slab_index(L)
     nh, h = grid.n_theta // 2, slabs.shape[1]
@@ -219,7 +208,6 @@ def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
 
 def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     """Evaluate sum_lm c_lm Y_lm at every grid node."""
-    _check_degree(grid, s.L)
     L = s.L
     slabs = _legendre_tables(grid, L)
     flat, scale, _, group_m = _slab_index(L)

@@ -150,13 +150,6 @@ def write_report(path, obj) -> None:
     Path(path).write_text(report_json(obj) + "\n", encoding="utf-8")
 
 
-def read_report(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"unreadable report: {exc}") from exc
-
-
 def format_cell(v) -> str:
     """CSV cell: floats via round-trip repr, everything else via str."""
     if isinstance(v, (float, np.floating)):

@@ -181,7 +181,8 @@ def _initial_coeff(ws: _Workspace, config: MinimizeConfig) -> np.ndarray:
         f = conformal.bubble_pair(config.init_t, ws.grid).field
     else:
         f = read_field(config.init_path)
-        if f.grid != ws.grid:
+        if ((f.grid.n_theta, f.grid.n_phi)
+                != (ws.grid.n_theta, ws.grid.n_phi)):
             raise ValueError(
                 f"init field grid ({f.grid.n_theta}, {f.grid.n_phi}) does not "
                 f"match run grid ({ws.grid.n_theta}, {ws.grid.n_phi})")

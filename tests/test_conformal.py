@@ -238,6 +238,17 @@ def test_bubble_pair_zero_moments(grid_default):
     assert np.max(np.abs(rep.moments)) <= 1e-10
 
 
+# The zero moments rest on the grid's mirror symmetry, which only
+# SphericalGrid checks: every shape bubble_pair accepts, odd n_theta too.
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(st.integers(8, 80), st.integers(2, 80), st.data())
+def test_property_bubble_pair_zero_moments(n_theta, half_n_phi, data):
+    grid = build_grid(n_theta, 2 * half_n_phi)
+    t = data.draw(st.floats(1.0, max_bubble_t(grid)))
+    rep = evaluate(bubble_pair(t, grid).field)
+    assert np.max(np.abs(rep.moments)) <= 1e-10
+
+
 def test_bubble_pair_energy_matches_radial_oracle(grid_default):
     for t in (2.0, 5.0):
         pair = bubble_pair(t, grid_default)

@@ -255,17 +255,36 @@ def test_legendre_table_matches_scipy_at_the_nodes():
 
 
 def test_transforms_reject_a_grid_that_is_not_mirror_symmetric():
-    # grids compare by shape, so the table cached for g would answer for
-    # bad too; tabulate it first, so the test does not hang on test order
+    # the parity fold needs bitwise mirrored nodes, so a grid without
+    # them cannot be built, not even by dataclasses.replace
     g = build_grid(7, 13)
-    analyze(ScalarField(g, np.zeros((7, 13))), 2)
-    xyz = g.xyz.copy()
-    xyz[-1, :, 2] = np.nextafter(xyz[-1, :, 2], 0.0)
-    bad = dataclasses.replace(g, xyz=xyz)
-    with pytest.raises(ResolutionError, match="mirror-symmetric"):
-        analyze(ScalarField(bad, np.zeros((7, 13))), 2)
-    with pytest.raises(ResolutionError, match="mirror-symmetric"):
-        synthesize(HarmonicSpectrum(L=2, coeff=np.zeros(9)), bad)
+    south_off = g.xyz.copy()
+    south_off[-1, :, 2] = np.nextafter(south_off[-1, :, 2], 0.0)
+    # an odd grid's equator must be exactly 0, not cos(pi/2) = 6.1e-17
+    equator_off = g.xyz.copy()
+    equator_off[3, :, 2] = np.cos(0.5 * np.pi)
+    for xyz in (south_off, equator_off):
+        with pytest.raises(ResolutionError, match="mirror-symmetric"):
+            dataclasses.replace(g, xyz=xyz)
+
+
+def test_each_grid_gets_the_tables_of_its_own_nodes():
+    # a hand-made grid of a tabulated shape: equally spaced, mirrored
+    # colatitudes (j + 1/2) pi / 9 instead of the Gauss-Legendre ones
+    g = build_grid(9, 18)
+    analyze(ScalarField(g, np.zeros((9, 18))), 2)
+    theta = (np.arange(9) + 0.5) * np.pi / 9
+    x = np.cos(theta)
+    x[5:] = -x[:4][::-1]
+    x[4] = 0.0
+    xyz = np.stack(np.broadcast_arrays(
+        np.sin(theta)[:, None] * np.cos(g.phi),
+        np.sin(theta)[:, None] * np.sin(g.phi), x[:, None]), axis=-1)
+    even = dataclasses.replace(g, theta=theta, xyz=xyz)
+    # p_{1,0} = sqrt(3 / 4 pi) cos(theta) is slab 0, column l = 1
+    p10 = _legendre_tables(even, 2)[0, 0, 1]
+    assert abs(p10 - np.sqrt(3.0 / FOUR_PI) * x[0]) <= 1e-14
+    assert abs(p10 - 0.48118) <= 1e-5
 
 
 # Random grid shapes, odd n_theta included, and any degree they resolve.

@@ -1,13 +1,14 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sphere_mt import FormatError, ScalarField, build_grid, minimize, MinimizeConfig
 from sphere_mt.cli import main
-from sphere_mt.io import (format_cell, read_field, read_report,
-                          to_jsonable, write_csv, write_field, write_report)
+from sphere_mt.io import (format_cell, read_field, to_jsonable, write_csv,
+                          write_field, write_report)
 
 
 @pytest.fixture()
@@ -145,7 +146,7 @@ def test_report_floats_round_trip(tmp_path):
                                   init_scale=0.05))
     path = tmp_path / "run.report.json"
     write_report(path, res)
-    data = read_report(path)
+    data = json.loads(path.read_text())
     assert data["type"] == "MinimizeResult"
     assert data["status"] == res.status
     assert data["value"] == res.value  # repr round trip is exact
@@ -226,6 +227,19 @@ def test_cli_rejects_malformed_input_with_one_line(argv, code, tmp_path, capsys)
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_cli_minimize_rejects_an_init_file_of_another_grid(tmp_path, capsys):
+    path = tmp_path / "start.field.bin"
+    write_field(path, ScalarField(build_grid(64, 128), np.zeros((64, 128))))
+    assert main(["minimize", "--eps", "0.2", "--n-theta", "48",
+                 "--n-phi", "96", "--init", "file",
+                 "--init-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "precondition violated: init field grid (64, 128) does not match "
+        "run grid (48, 96)"]
 
 
 def test_cli_check_reports_format_error(tmp_path):
@@ -322,7 +336,7 @@ def test_cli_minimize_writes_outputs(tmp_path, capsys):
     code = main(["minimize", "--eps", "0.25", "--init", "zero",
                  "--out-prefix", str(prefix)])
     assert code == 0
-    report = read_report(f"{prefix}.report.json")
+    report = json.loads(Path(f"{prefix}.report.json").read_text())
     assert report["status"] == "converged"
     assert report["value"] <= 1e-8
     field = read_field(f"{prefix}.field.bin")
@@ -334,7 +348,7 @@ def test_cli_minimize_continuation(tmp_path):
     code = main(["minimize", "--continuation", "0.4,0.3,0.2",
                  "--out-prefix", str(prefix)])
     assert code == 0
-    report = read_report(f"{prefix}.report.json")
+    report = json.loads(Path(f"{prefix}.report.json").read_text())
     assert report["classification"] == "compact"
     assert len(report["results"]) == 3
 
