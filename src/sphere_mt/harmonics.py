@@ -40,6 +40,15 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   and the flat l*l + l + m layout.  The node axis sits in the middle
   because OpenBLAS runs both products in that orientation about twice
   as fast as a (rows x nodes)(nodes x 8) one.
+* Zonal fields.  The bubble pairs, axis-pole Moebius factors and their
+  pullbacks, the two-pole Green function and u = 0 are axisymmetric,
+  so their rows are constant in phi.  analyze takes such a field (every
+  row equal to its first column bitwise) through m = 0 alone: one
+  parity-folded Gauss-Legendre sum against the m = 0 columns of slab 0,
+  with every m != 0 coefficient exactly 0.  synthesize takes a spectrum
+  whose m != 0 coefficients are all exactly 0 the same way, to one
+  column repeated over phi.  Both look up the same cached table and
+  skip the FFT, the lanes and the slab product.
 """
 
 from __future__ import annotations
@@ -155,9 +164,10 @@ def _slab_index(L: int):
     Slab k has 8 lanes, two groups of (cos even, cos odd, sin even,
     sin odd): group 2k for m = k and group 2k+1 for m = L-k, where
     even/odd is the parity of l + m.  Returns (flat, scale, pair_m,
-    group_m): flat[j] is the position of flat coefficient j in the
+    group_m, zonal): flat[j] is the position of flat coefficient j in the
     (slabs, 8, L + 2) product, scale[j] its factor (1, sqrt 2 or
-    -sqrt 2), pair_m the m of each group and group_m the group of each m.
+    -sqrt 2), pair_m the m of each group, group_m the group of each m
+    and zonal the flat positions l*l + l of the m = 0 coefficients.
     """
     l = degrees(L)
     m = np.arange((L + 1) ** 2) - l * l - l
@@ -168,7 +178,8 @@ def _slab_index(L: int):
     flat = (4 * group_m[am] + 2 * (m < 0) + (l + am) % 2) * (L + 2) + column
     scale = np.where(m == 0, 1.0, np.where(m > 0, SQRT2, -SQRT2))
     pair_m = np.stack((k, L - k), axis=1)[: L // 2 + 1].ravel()
-    out = (flat, scale, pair_m, group_m)
+    zonal = k * k + k
+    out = (flat, scale, pair_m, group_m, zonal)
     for a in out:
         a.flags.writeable = False
     return out
@@ -188,8 +199,22 @@ def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
     """Project a field onto harmonics up to degree L: c_lm = integrate(f*Y_lm)."""
     grid = f.grid
     slabs = _legendre_tables(grid, L)
-    flat, scale, pair_m, _ = _slab_index(L)
+    flat, scale, pair_m, _, zonal = _slab_index(L)
     nh, h = grid.n_theta // 2, slabs.shape[1]
+    v = f.values
+    # one column first, so a non-zonal field is turned away cheaply
+    if (v[:, 1] == v[:, 0]).all() and (v == v[:, :1]).all():
+        # the phi sum of a constant row is n_phi at m = 0 and 0 at every
+        # 0 < m < n_phi, so only m = 0 is left
+        col = grid.n_phi * grid.weight * v[:, 0]
+        even, odd = col[:h].copy(), col[:h].copy()
+        even[:nh] += col[::-1][:nh]
+        odd[:nh] -= col[::-1][:nh]
+        p = slabs[0, :, : L + 1]
+        coeff = np.zeros((L + 1) ** 2)
+        coeff[zonal[0::2]] = even @ p[:, 0::2]
+        coeff[zonal[1::2]] = odd @ p[:, 1::2]
+        return HarmonicSpectrum(L=L, coeff=coeff)
 
     # (re, im) of sum_k w_j f_jk e^{-i m phi_k}: the weighted cos and -sin
     # sums (grid.weight already carries the 2*pi/n_phi of the phi rule)
@@ -210,8 +235,17 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     """Evaluate sum_lm c_lm Y_lm at every grid node."""
     L = s.L
     slabs = _legendre_tables(grid, L)
-    flat, scale, _, group_m = _slab_index(L)
+    flat, scale, _, group_m, zonal = _slab_index(L)
     n, nh, h = grid.n_theta, grid.n_theta // 2, slabs.shape[1]
+    c0 = s.coeff[zonal]
+    if np.count_nonzero(s.coeff) == np.count_nonzero(c0):
+        # every m != 0 coefficient is 0: one column, repeated over phi
+        p = slabs[0, :, : L + 1]
+        even, odd = p[:, 0::2] @ c0[0::2], p[:, 1::2] @ c0[1::2]
+        col = np.empty(n)
+        col[:h] = even + odd
+        col[::-1][:nh] = (even - odd)[:nh]
+        return ScalarField(grid, np.broadcast_to(col[:, None], (n, grid.n_phi)))
 
     # lanes hold c_{l,m} / sqrt 2 and -c_{l,-m} / sqrt 2 (c_{l,0} as is),
     # so the sums come out as irfft's F[:, m] = (g_c - i g_s) / sqrt 2

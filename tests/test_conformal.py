@@ -207,6 +207,18 @@ def test_property_pullback_preserves_exponential_mass(pole, t, seed):
     assert mass1 == pytest.approx(mass0, rel=1e-8)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(poles(), st.floats(1.0, 3.0))
+@example(NORTH, 3.0)
+@example(SOUTH, 3.0)
+def test_property_onofri_equality_on_mobius_factors(pole, t):
+    # Onofri's J >= 0 is attained by every Moebius factor (worst 1.4e-15
+    # over 200 random poles); the axis poles give zonal factors, so both
+    # the zonal and the general analysis run
+    J = evaluate(mobius_factor(MobiusMap(pole, t), build_grid(64, 128))).onofri_J
+    assert abs(J) <= 1e-12
+
+
 def test_point_map_stays_on_sphere(grid_default):
     m = MobiusMap(np.array([0.6, 0.0, 0.8]), 4.0)
     target = mobius_point_map(m, grid_default.xyz)

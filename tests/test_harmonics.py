@@ -315,3 +315,42 @@ def test_property_parseval(case, seed):
     f = synthesize(HarmonicSpectrum(L=L, coeff=c), grid)
     quad = integrate(ScalarField(grid, f.values ** 2))
     assert abs(quad - np.sum(c ** 2)) <= 1e-10 * np.sum(c ** 2)
+
+
+@PROPERTY_SETTINGS
+@given(grid_and_degree(), st.integers(0, 2 ** 32 - 1))
+def test_property_zonal_spectra_stay_zonal(case, seed):
+    # m = 0 terms alone give rows constant in phi bitwise, and those
+    # analyze back with every m != 0 coefficient exactly 0, not roundoff
+    grid, L = case
+    l = np.arange(L + 1)
+    zonal = flat_index(l, 0)
+    c = np.zeros((L + 1) ** 2)
+    c[zonal] = np.random.default_rng(seed).uniform(-1.0, 1.0, L + 1)
+    f = synthesize(HarmonicSpectrum(L=L, coeff=c), grid)
+    assert np.all(f.values == f.values[:, :1])
+    back = analyze(f, L).coeff
+    assert np.all(np.delete(back, zonal) == 0.0)
+    assert np.max(np.abs(back[zonal] - c[zonal])) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(65, 130), (64, 128), (256, 512)])
+def test_zonal_and_general_paths_agree(shape):
+    # w_t(NORTH) is zonal; one node moved by one ulp, or c_{1,1} = 1e-300,
+    # sends the same data through the general path
+    grid = build_grid(*shape)
+    L = max_degree(grid)
+    w = mobius_factor(MobiusMap(NORTH, 2.0), grid)
+    s = analyze(w, L)
+    assert np.count_nonzero(s.coeff) <= L + 1
+    nudged = w.values.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
+    general = analyze(ScalarField(grid, nudged), L)
+    assert np.max(np.abs(general.coeff - s.coeff)) <= 1e-13
+
+    f = synthesize(s, grid)
+    assert np.all(f.values == f.values[:, :1])
+    c = s.coeff.copy()
+    c[flat_index(1, 1)] += 1e-300
+    general = synthesize(HarmonicSpectrum(L=L, coeff=c), grid)
+    assert np.max(np.abs(general.values - f.values)) <= 1e-13

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_mt import FormatError, ScalarField, build_grid, minimize, MinimizeConfig
 from sphere_mt.cli import main
@@ -90,6 +93,34 @@ def test_corrupted_payload_detected(tmp_path, sample_field):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
         read_field(path)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 40), st.integers(4, 81), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_property_field_file_round_trip_and_corruption(n_theta, n_phi, seed,
+                                                        data):
+    # random bit patterns cover subnormals, -0.0 and both extremes; a
+    # non-finite pattern (1 in 2048) becomes 0.0
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2 ** 64, (n_theta, n_phi),
+                          dtype=np.uint64).view(float)
+    values[~np.isfinite(values)] = 0.0
+    f = ScalarField(build_grid(n_theta, n_phi), values)
+    # hypothesis runs a test many times per fixture, hence no tmp_path
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.field.bin"
+        write_field(path, f)
+        back = read_field(path)
+        assert back.grid is f.grid
+        assert back.values.tobytes() == f.values.tobytes()
+
+        blob = bytearray(path.read_bytes())
+        i = data.draw(st.integers(blob.index(b"\n") + 1, len(blob) - 1))
+        blob[i] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="payload hash mismatch"):
+            read_field(path)
 
 
 def test_truncated_payload_detected(tmp_path, sample_field):
@@ -183,6 +214,17 @@ def test_cli_check_passes_on_default_grid(capsys):
     assert main(["check", "--n-theta", "32", "--n-phi", "64"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("n_theta", [2, 4, 7])
+def test_cli_check_passes_on_grids_that_resolve_no_dilation(capsys, n_theta):
+    # max_bubble_t < 1 below n_theta = 8: the conformal invariants are
+    # skipped there, not run at a dilation t < 1
+    argv = ["check", "--n-theta", str(n_theta), "--n-phi", str(2 * n_theta),
+            "--L", "0"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "conformal." not in out
 
 
 def test_cli_check_rejects_unresolvable_degree(capsys):
