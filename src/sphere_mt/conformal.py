@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import ResolutionError
 from .grid import ScalarField, SphericalGrid
@@ -72,14 +71,23 @@ class MobiusMap:
     def is_identity(self) -> bool:
         return self.t == 1.0
 
+    @property
+    def on_axis(self) -> bool:
+        """Pole at +-e_z: every point stays on its meridian."""
+        return bool(self.pole[0] == 0.0 and self.pole[1] == 0.0)
+
 
 def mobius_factor(map: MobiusMap, grid: SphericalGrid) -> ScalarField:
-    """Sample the conformal factor w_t of the map on the grid."""
+    """Sample the conformal factor w_t of the map on the grid.
+
+    For an axis pole c = p . x depends on theta alone, so it is taken on
+    one meridian and broadcast over phi (bitwise the full-grid values).
+    """
     _check_t(grid, map.t)
-    c = grid.xyz @ map.pole
+    c = (grid.xyz[:, :1] if map.on_axis else grid.xyz) @ map.pole
     t = map.t
     w = np.log(2.0 * t) - np.log((1.0 + c) + t * t * (1.0 - c))
-    return ScalarField(grid, w)
+    return ScalarField(grid, np.broadcast_to(w, (grid.n_theta, grid.n_phi)))
 
 
 def mobius_point_map(map: MobiusMap, xyz: np.ndarray) -> np.ndarray:
@@ -98,9 +106,9 @@ def mobius_point_map(map: MobiusMap, xyz: np.ndarray) -> np.ndarray:
     return out
 
 
-def _padded_spline(u: ScalarField, order: int = 5, pad: int = 6):
-    """Spline of the field on the (theta, phi) rectangle, extended
-    periodically in phi and across both poles via u(-th, ph) = u(th, ph+pi).
+def _pole_extended(u: ScalarField, pad: int = 6):
+    """Colatitudes and rows of the field extended by pad rows across
+    both poles via u(-th, ph) = u(th, ph+pi).
 
     Requires even n_phi so the half-turn is an exact column roll.
     """
@@ -108,16 +116,23 @@ def _padded_spline(u: ScalarField, order: int = 5, pad: int = 6):
     if grid.n_phi % 2 != 0:
         raise ResolutionError("interpolation across the poles requires even n_phi")
     pt = min(pad, grid.n_theta)
-    pp = min(pad, grid.n_phi)
     vals = u.values
-
     rolled = np.roll(vals, grid.n_phi // 2, axis=1)
-    top = rolled[:pt][::-1]
-    bottom = rolled[-pt:][::-1]
-    theta_ext = np.concatenate([-u.grid.theta[:pt][::-1], u.grid.theta,
-                                2.0 * np.pi - u.grid.theta[-pt:][::-1]])
-    stacked = np.vstack([top, vals, bottom])
+    theta_ext = np.concatenate([-grid.theta[:pt][::-1], grid.theta,
+                                2.0 * np.pi - grid.theta[-pt:][::-1]])
+    return theta_ext, np.vstack([rolled[:pt][::-1], vals, rolled[-pt:][::-1]])
 
+
+def _padded_spline(u: ScalarField, order: int = 5, pad: int = 6):
+    """Spline of the field on the (theta, phi) rectangle, extended
+    across both poles and periodically in phi."""
+    # scipy.interpolate is imported here, not at module level: it is most
+    # of the package's import time, and only the pullback uses it
+    from scipy.interpolate import RectBivariateSpline
+
+    theta_ext, stacked = _pole_extended(u, pad)
+    grid = u.grid
+    pp = min(pad, grid.n_phi)
     phi_ext = np.concatenate([grid.phi[-pp:] - 2.0 * np.pi, grid.phi,
                               grid.phi[:pp] + 2.0 * np.pi])
     ext = np.concatenate([stacked[:, -pp:], stacked, stacked[:, :pp]], axis=1)
@@ -125,6 +140,16 @@ def _padded_spline(u: ScalarField, order: int = 5, pad: int = 6):
     kx = min(order, len(theta_ext) - 1)
     ky = min(order, len(phi_ext) - 1)
     return RectBivariateSpline(theta_ext, phi_ext, ext, kx=kx, ky=ky)
+
+
+def _meridian_spline(u: ScalarField, order: int = 5, pad: int = 6):
+    """Spline in theta alone of every pole-extended column: the tensor
+    spline of _padded_spline restricted to the grid's own longitudes."""
+    # imported here for the same reason as in _padded_spline
+    from scipy.interpolate import make_interp_spline
+
+    theta_ext, stacked = _pole_extended(u, pad)
+    return make_interp_spline(theta_ext, stacked, k=min(order, len(theta_ext) - 1))
 
 
 def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
@@ -135,24 +160,25 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
     mass-preservation contract at the default grid).
 
     A pole on the grid axis (+-e_z) moves every node along its own
-    meridian: phi' = phi, and theta' depends on theta alone and increases
-    with it.  There theta' comes from one meridian and the spline is
-    evaluated on the tensor grid (theta', phi), one set of B-spline bases
-    per row and per column (Dierckx, Curve and Surface Fitting with
-    Splines, 1993).  It agrees with the scattered evaluation to ~1e-14.
-    Any other pole takes the scattered path, one spline evaluation per
-    node.  At 256x512 (one BLAS thread, 2 shared vCPUs) the grid
-    evaluation takes 6 ms against 130 ms scattered, so an axis-pole
-    pullback takes 22 ms, most of it the 16 ms spline fit, and an
-    off-axis one 175 ms.
+    meridian: phi' = phi, and theta' depends on theta alone.  A tensor
+    interpolating spline evaluated at the grid's own longitudes is the
+    interpolant in theta of each column, since the phi factor reproduces
+    its own data there (de Boor, A Practical Guide to Splines, ch. 17).
+    So an axis pole fits one not-a-knot quintic in theta to all columns
+    at once (the knots fitpack picks for an interpolating fit) and
+    evaluates it at theta'; it agrees with the scattered evaluation of
+    the tensor spline to ~1e-14.  Any other pole fits the tensor spline
+    and evaluates it point by point.  At 256x512 (one BLAS thread, 2
+    shared vCPUs) an axis-pole pullback takes about 7 ms and an
+    off-axis one 175 ms, 130 ms of it the scattered evaluation.
     """
     grid = u.grid
     _check_t(grid, map.t)
     if map.is_identity:
         return u
-    if map.pole[0] == 0.0 and map.pole[1] == 0.0:
+    if map.on_axis:
         z = np.clip(mobius_point_map(map, grid.xyz[:, 0])[:, 2], -1.0, 1.0)
-        composed = _padded_spline(u)(np.arccos(z), grid.phi)
+        composed = _meridian_spline(u)(np.arccos(z))
     else:
         target = mobius_point_map(map, grid.xyz)
         z = np.clip(target[:, :, 2], -1.0, 1.0)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import harmonics
 from .conformal import bubble_mass
@@ -257,6 +256,10 @@ def energy_expansion_report(t: float, R: float) -> ExpansionReport:
         raise ValueError(f"radius R={R} must be finite and positive")
     if not 1.0 <= t < np.inf:
         raise ValueError(f"dilation t={t} must be finite and >= 1")
+
+    # scipy.integrate is imported here, not at module level: only this
+    # report uses it, and evaluate, sweep and minimize should not load it
+    from scipy.integrate import quad
 
     q = 1.0 + 2.0 * np.pi * R * R
     I1_closed = 16.0 * np.pi * (np.log(q) + 1.0 / q - 1.0)

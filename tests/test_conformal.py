@@ -79,6 +79,20 @@ def test_factor_energy_matches_radial_oracle(grid_default):
         assert E == pytest.approx(single_bubble_energy(t), rel=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(64, 128), (65, 130)])
+def test_axis_factor_is_the_full_grid_formula(shape):
+    # an axis pole takes c = p . x on one meridian and broadcasts it; the
+    # values must be bitwise those of the full-grid formula, also on the
+    # odd grid's equator row, where c = +-0
+    grid = build_grid(*shape)
+    for pole in (NORTH, SOUTH):
+        c = grid.xyz @ pole
+        for t in (1.0, 1.5, 4.0):
+            expect = np.log(2.0 * t) - np.log((1.0 + c) + t * t * (1.0 - c))
+            w = mobius_factor(MobiusMap(pole, t), grid)
+            assert w.values.tobytes() == expect.tobytes()
+
+
 def test_factor_resolution_bound(grid_default):
     assert max_bubble_t(grid_default) == pytest.approx(8.0)
     with pytest.raises(ResolutionError):
@@ -170,15 +184,25 @@ def scattered_pullback(u, m):
 
 
 def test_axis_pullback_matches_scattered_evaluation(grid_default):
-    # an axis pole is evaluated on the tensor grid (theta', phi); it must
-    # agree with the point-by-point evaluation, at even and odd n_theta
-    for grid in (grid_default, build_grid(65, 130)):
+    # an axis pole is evaluated by a spline in theta alone; it must agree
+    # with the point-by-point evaluation of the tensor spline, at even
+    # and odd n_theta and at the benchmark's largest grid
+    for grid in (grid_default, build_grid(65, 130), build_grid(256, 512)):
         f = synthesize_random(grid, L=8, scale=0.3, seed=grid.n_theta)
         for pole in (NORTH, SOUTH):
             for t in (1.5, 2.0, 4.0):
                 m = MobiusMap(pole, t)
                 tu = mobius_pullback(f, m)
                 assert np.max(np.abs(tu.values - scattered_pullback(f, m))) <= 1e-12
+
+
+def test_pullback_requires_even_n_phi():
+    # the half-turn across the poles is a column roll on both paths
+    grid = build_grid(16, 33)
+    f = constant_field(grid, 0.0)
+    for pole in (NORTH, np.array([1.0, 2.0, 2.0]) / 3.0):
+        with pytest.raises(ResolutionError, match="requires even n_phi"):
+            mobius_pullback(f, MobiusMap(pole, 2.0))
 
 
 @st.composite
@@ -194,7 +218,7 @@ def poles(draw):
 @example(NORTH, 3.0, 0)
 @example(SOUTH, 3.0, 1)
 def test_property_pullback_preserves_exponential_mass(pole, t, seed):
-    # both exact axis poles (tensor-grid path) and any other pole
+    # both exact axis poles (spline in theta alone) and any other pole
     # (scattered path); bounded L=4 coefficients keep exp(2 Tu) resolved
     # at t = 3 (worst 8.6e-10 over 150 random poles)
     grid = build_grid(64, 128)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_legendre_p, sph_legendre_p_all
 
@@ -287,11 +287,16 @@ def test_each_grid_gets_the_tables_of_its_own_nodes():
     assert abs(p10 - 0.48118) <= 1e-5
 
 
-# Random grid shapes, odd n_theta included, and any degree they resolve.
+# Random grid shapes, odd n_theta included, and any degree L >= 1 they
+# resolve, so every drawn case has m != 0 terms; degree 0 is the explicit
+# 2x4 example each property carries.
 @st.composite
 def grid_and_degree(draw):
-    grid = build_grid(draw(st.integers(2, 40)), draw(st.integers(4, 81)))
-    return grid, draw(st.integers(0, max_degree(grid)))
+    grid = build_grid(draw(st.integers(3, 40)), draw(st.integers(6, 81)))
+    return grid, draw(st.integers(1, max_degree(grid)))
+
+
+DEGREE_ZERO = (build_grid(2, 4), 0)
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True,
@@ -300,6 +305,7 @@ PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True,
 
 @PROPERTY_SETTINGS
 @given(grid_and_degree(), st.integers(0, 2 ** 32 - 1))
+@example(DEGREE_ZERO, 0)
 def test_property_round_trip(case, seed):
     grid, L = case
     c = np.random.default_rng(seed).uniform(-1.0, 1.0, (L + 1) ** 2)
@@ -309,6 +315,7 @@ def test_property_round_trip(case, seed):
 
 @PROPERTY_SETTINGS
 @given(grid_and_degree(), st.integers(0, 2 ** 32 - 1))
+@example(DEGREE_ZERO, 0)
 def test_property_parseval(case, seed):
     grid, L = case
     c = np.random.default_rng(seed).standard_normal((L + 1) ** 2)
@@ -319,6 +326,7 @@ def test_property_parseval(case, seed):
 
 @PROPERTY_SETTINGS
 @given(grid_and_degree(), st.integers(0, 2 ** 32 - 1))
+@example(DEGREE_ZERO, 0)
 def test_property_zonal_spectra_stay_zonal(case, seed):
     # m = 0 terms alone give rows constant in phi bitwise, and those
     # analyze back with every m != 0 coefficient exactly 0, not roundoff

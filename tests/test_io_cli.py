@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -439,3 +442,23 @@ def test_package_all_lists_resolvable_non_module_names():
     namespace = {}
     exec("from sphere_mt import *", namespace)
     assert "io" not in namespace
+
+
+def test_evaluate_loads_neither_scipy_interpolate_nor_integrate():
+    # only the pullback's splines and the expansion report use them, and
+    # they are most of the package's import time; a fresh interpreter
+    # shows what importing sphere_mt and running evaluate loads
+    import sphere_mt
+
+    src = str(Path(sphere_mt.__file__).resolve().parents[1])
+    code = ("import sys, sphere_mt\n"
+            "from sphere_mt.cli import main\n"
+            "assert main(['evaluate']) == 0\n"
+            "loaded = [m for m in ('scipy.interpolate', 'scipy.integrate')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
