@@ -26,6 +26,12 @@ SOUTH = np.array([0.0, 0.0, -1.0])
 #: at least this many colatitude nodes across the concentration core
 _CORE_NODES = 8
 
+#: pullback splines: the degree, and the rows copied across each pole
+#: (and columns across each end of the period).  Both spline paths read
+#: them, so the axis path stays the tensor spline at the grid's longitudes.
+_SPLINE_ORDER = 5
+_POLE_PAD = 6
+
 
 def max_bubble_t(grid: SphericalGrid) -> float:
     """Largest dilation the grid resolves (t <= n_theta / 8).
@@ -106,8 +112,8 @@ def mobius_point_map(map: MobiusMap, xyz: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pole_extended(u: ScalarField, pad: int = 6):
-    """Colatitudes and rows of the field extended by pad rows across
+def _pole_extended(u: ScalarField):
+    """Colatitudes and rows of the field extended by _POLE_PAD rows across
     both poles via u(-th, ph) = u(th, ph+pi).
 
     Requires even n_phi so the half-turn is an exact column roll.
@@ -115,7 +121,7 @@ def _pole_extended(u: ScalarField, pad: int = 6):
     grid = u.grid
     if grid.n_phi % 2 != 0:
         raise ResolutionError("interpolation across the poles requires even n_phi")
-    pt = min(pad, grid.n_theta)
+    pt = min(_POLE_PAD, grid.n_theta)
     vals = u.values
     rolled = np.roll(vals, grid.n_phi // 2, axis=1)
     theta_ext = np.concatenate([-grid.theta[:pt][::-1], grid.theta,
@@ -123,33 +129,34 @@ def _pole_extended(u: ScalarField, pad: int = 6):
     return theta_ext, np.vstack([rolled[:pt][::-1], vals, rolled[-pt:][::-1]])
 
 
-def _padded_spline(u: ScalarField, order: int = 5, pad: int = 6):
+def _padded_spline(u: ScalarField):
     """Spline of the field on the (theta, phi) rectangle, extended
     across both poles and periodically in phi."""
     # scipy.interpolate is imported here, not at module level: it is most
     # of the package's import time, and only the pullback uses it
     from scipy.interpolate import RectBivariateSpline
 
-    theta_ext, stacked = _pole_extended(u, pad)
+    theta_ext, stacked = _pole_extended(u)
     grid = u.grid
-    pp = min(pad, grid.n_phi)
+    pp = min(_POLE_PAD, grid.n_phi)
     phi_ext = np.concatenate([grid.phi[-pp:] - 2.0 * np.pi, grid.phi,
                               grid.phi[:pp] + 2.0 * np.pi])
     ext = np.concatenate([stacked[:, -pp:], stacked, stacked[:, :pp]], axis=1)
 
-    kx = min(order, len(theta_ext) - 1)
-    ky = min(order, len(phi_ext) - 1)
+    kx = min(_SPLINE_ORDER, len(theta_ext) - 1)
+    ky = min(_SPLINE_ORDER, len(phi_ext) - 1)
     return RectBivariateSpline(theta_ext, phi_ext, ext, kx=kx, ky=ky)
 
 
-def _meridian_spline(u: ScalarField, order: int = 5, pad: int = 6):
+def _meridian_spline(u: ScalarField):
     """Spline in theta alone of every pole-extended column: the tensor
     spline of _padded_spline restricted to the grid's own longitudes."""
     # imported here for the same reason as in _padded_spline
     from scipy.interpolate import make_interp_spline
 
-    theta_ext, stacked = _pole_extended(u, pad)
-    return make_interp_spline(theta_ext, stacked, k=min(order, len(theta_ext) - 1))
+    theta_ext, stacked = _pole_extended(u)
+    return make_interp_spline(theta_ext, stacked,
+                              k=min(_SPLINE_ORDER, len(theta_ext) - 1))
 
 
 def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:

@@ -288,15 +288,23 @@ def test_each_grid_gets_the_tables_of_its_own_nodes():
 
 
 # Random grid shapes, odd n_theta included, and any degree L >= 1 they
-# resolve, so every drawn case has m != 0 terms; degree 0 is the explicit
-# 2x4 example each property carries.
+# resolve, so every drawn case has m != 0 terms.  Degree 0, where analyze
+# and synthesize both take the zonal path, is covered by explicit examples:
+# the smallest grid, a large odd-n_theta grid and an odd n_phi.
 @st.composite
 def grid_and_degree(draw):
     grid = build_grid(draw(st.integers(3, 40)), draw(st.integers(6, 81)))
     return grid, draw(st.integers(1, max_degree(grid)))
 
 
-DEGREE_ZERO = (build_grid(2, 4), 0)
+DEGREE_ZERO = [(build_grid(2, 4), 0), (build_grid(65, 130), 0),
+               (build_grid(11, 5), 0)]
+
+
+def degree_zero_examples(test):
+    for case in DEGREE_ZERO:
+        test = example(case, 0)(test)
+    return test
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True,
@@ -305,7 +313,7 @@ PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True,
 
 @PROPERTY_SETTINGS
 @given(grid_and_degree(), st.integers(0, 2 ** 32 - 1))
-@example(DEGREE_ZERO, 0)
+@degree_zero_examples
 def test_property_round_trip(case, seed):
     grid, L = case
     c = np.random.default_rng(seed).uniform(-1.0, 1.0, (L + 1) ** 2)
@@ -315,7 +323,7 @@ def test_property_round_trip(case, seed):
 
 @PROPERTY_SETTINGS
 @given(grid_and_degree(), st.integers(0, 2 ** 32 - 1))
-@example(DEGREE_ZERO, 0)
+@degree_zero_examples
 def test_property_parseval(case, seed):
     grid, L = case
     c = np.random.default_rng(seed).standard_normal((L + 1) ** 2)
@@ -326,7 +334,7 @@ def test_property_parseval(case, seed):
 
 @PROPERTY_SETTINGS
 @given(grid_and_degree(), st.integers(0, 2 ** 32 - 1))
-@example(DEGREE_ZERO, 0)
+@degree_zero_examples
 def test_property_zonal_spectra_stay_zonal(case, seed):
     # m = 0 terms alone give rows constant in phi bitwise, and those
     # analyze back with every m != 0 coefficient exactly 0, not roundoff
