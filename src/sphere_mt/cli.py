@@ -27,7 +27,7 @@ from . import __version__
 from . import conformal, functional, harmonics, optimize
 from .errors import (FormatError, GridSizeError, InvariantViolation,
                      NonFiniteFieldError, RangeOverflowError, ResolutionError)
-from .grid import FOUR_PI, ScalarField, build_grid, integrate
+from .grid import FOUR_PI, ScalarField, build_grid, integrate_values
 from .io import read_field, report_json, write_csv, write_field, write_report
 
 EXIT_OK = 0
@@ -68,19 +68,18 @@ def _check_suite(grid, L: int, seed: int):
     """Yield (name, passed, detail) for the invariant suite."""
     rng = np.random.default_rng(seed)
 
-    total = integrate(ScalarField(grid, np.ones((grid.n_theta, grid.n_phi))))
+    total = integrate_values(grid, np.ones((grid.n_theta, grid.n_phi)))
     yield ("quadrature.total_weight",
            abs(total - FOUR_PI) <= 1e-12 * FOUR_PI,
            f"sum w = {total!r}")
 
-    worst = max(abs(integrate(ScalarField(grid, grid.xyz[:, :, i])))
-                for i in range(3))
+    worst = max(abs(integrate_values(grid, grid.xyz[:, :, i])) for i in range(3))
     yield ("quadrature.first_moments", worst <= 1e-13, f"max |int x_i| = {worst:.3e}")
 
     worst = 0.0
     for i in range(3):
         for j in range(3):
-            v = integrate(ScalarField(grid, grid.xyz[:, :, i] * grid.xyz[:, :, j]))
+            v = integrate_values(grid, grid.xyz[:, :, i] * grid.xyz[:, :, j])
             expect = FOUR_PI / 3.0 if i == j else 0.0
             worst = max(worst, abs(v - expect) / (FOUR_PI / 3.0))
     yield ("quadrature.second_moments", worst <= 1e-10,
@@ -93,8 +92,7 @@ def _check_suite(grid, L: int, seed: int):
     err = float(np.max(np.abs(back.coeff - coeff)))
     yield ("transform.round_trip", err <= 1e-10, f"L={L}, max coeff err = {err:.3e}")
 
-    parseval = abs(integrate(ScalarField(grid, f.values ** 2))
-                   - float(np.sum(coeff ** 2)))
+    parseval = abs(integrate_values(grid, f.values ** 2) - float(np.sum(coeff ** 2)))
     rel = parseval / float(np.sum(coeff ** 2))
     yield ("transform.parseval", rel <= 1e-10, f"rel err = {rel:.3e}")
 
@@ -103,7 +101,7 @@ def _check_suite(grid, L: int, seed: int):
     if conformal.max_bubble_t(grid) >= 1.0:
         t_area = min(4.0, conformal.max_bubble_t(grid))
         w = conformal.mobius_factor(conformal.MobiusMap(conformal.NORTH, t_area), grid)
-        area = integrate(ScalarField(grid, np.exp(2.0 * w.values)))
+        area = integrate_values(grid, np.exp(2.0 * w.values))
         yield ("conformal.area_preservation",
                abs(area - FOUR_PI) <= 1e-8 * FOUR_PI,
                f"t={t_area}, area = {area!r}")

@@ -8,11 +8,11 @@ Basis convention: orthonormal real harmonics
 
 where p_{l,m} are the fully normalized associated Legendre functions
 (no Condon-Shortley phase), so that integrate(Y_a * Y_b) = delta_ab.
-One generator runs the stable normalized three-term recurrence for
-p_{l,m} (accurate well beyond degree 128) in m-major row order; the
-transform tables take its rows at the grid's own nodes, with
-x = grid.cos_theta and s = sin(grid.theta), which near the poles keeps
-digits that sqrt(1 - x^2) loses.
+One loop runs the stable normalized three-term recurrence for p_{l,m}
+(accurate well beyond degree 128) for all orders at once, one offset
+l - m at a time, at the grid's own nodes: x = grid.cos_theta and
+s = sin(grid.theta), which near the poles keeps digits that
+sqrt(1 - x^2) loses.
 
 Longitude sums are real FFTs both ways: analysis takes rfft of the node
 values, and synthesis fills the half-spectrum F[:, m] = (g_c - i g_s)/sqrt(2)
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -113,73 +112,70 @@ class HarmonicSpectrum:
         return float(self.coeff[flat_index(l, m)])
 
 
-def _legendre_rows(x: np.ndarray, s: np.ndarray, L: int):
-    """Yield p_{l,m}(x) for m = 0..L, l = m..L (m-major); s = sin(theta).
-
-    Each yielded array is fresh and never written again.
-    """
-    pmm = np.full_like(x, 1.0 / np.sqrt(4.0 * np.pi))
-    for m in range(L + 1):
-        yield pmm
-        if m == L:
-            return
-        p_prev, p_cur = pmm, np.sqrt(2.0 * m + 3.0) * x * pmm
-        yield p_cur
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
-                        / ((2.0 * l - 3.0) * (l * l - m * m)))
-            p_prev, p_cur = p_cur, a * x * p_cur - b * p_prev
-            yield p_cur
-        pmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * pmm
-
-
 @lru_cache(maxsize=16)
 def _legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
     """p_{l,m}(x_j) at the northern GL nodes, packed in paired-m slabs.
 
-    Shape (L//2 + 1, ceil(n_theta/2), L + 2): slab k holds rows l = k..L
-    of m = k in columns 0..L-k, then rows l = L-k..L of m = L-k in
-    columns L+1-k..L+1 (zero for the middle slab of an even L).  Raises
-    ResolutionError or ValueError for a degree the grid does not
-    resolve; the check runs on a cache miss only, since a cached
-    (grid, L) has passed it.
+    Shape (L//2 + 1, ceil(n_theta/2), L + 2), p_{l,m} in slab slab_m[m],
+    column col_m[m] + l - m of _slab_index; each offset d = l - m is
+    written in place for every m at once.  Raises ResolutionError or
+    ValueError for a degree the grid does not resolve; the check runs
+    on a cache miss only, since a cached (grid, L) has passed it.
     """
     _check_degree(grid, L)
     h = (grid.n_theta + 1) // 2
-    rows = _legendre_rows(grid.cos_theta[:h], np.sin(grid.theta[:h]), L)
+    x, s = grid.cos_theta[:h], np.sin(grid.theta[:h])
+    *_, slab_m, col_m = _slab_index(L)
     slabs = np.zeros((L // 2 + 1, h, L + 2))
-    for m in range(L + 1):
-        k, r = (m, 0) if 2 * m <= L else (L - m, m + 1)
-        np.stack(list(islice(rows, L + 1 - m)), axis=1,
-                 out=slabs[k, :, r:r + L + 1 - m])
+    pmm = np.empty((L + 1, h))
+    pmm[0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for m in range(L):
+        pmm[m + 1] = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * pmm[m]
+    p_prev, p_cur = pmm, np.sqrt(2.0 * np.arange(L) + 3.0)[:, None] * x * pmm[:L]
+    slabs[slab_m, :, col_m] = pmm
+    slabs[slab_m[:L], :, col_m[:L] + 1] = p_cur
+    for d in range(2, L + 1):
+        n = L + 1 - d
+        m = np.arange(n)
+        l = m + d
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
+                    / ((2.0 * l - 3.0) * (l * l - m * m)))
+        p_prev, p_cur = p_cur, a[:, None] * x * p_cur[:n] - b[:, None] * p_prev[:n]
+        slabs[slab_m[:n], :, col_m[:n] + d] = p_cur
     slabs.setflags(write=False)
     return slabs
 
 
 @lru_cache(maxsize=16)
 def _slab_index(L: int):
-    """Index arrays between the flat layout and the slab lanes.
+    """Where each order m sits in the slabs, and the lanes' index arrays.
 
-    Slab k has 8 lanes, two groups of (cos even, cos odd, sin even,
-    sin odd): group 2k for m = k and group 2k+1 for m = L-k, where
-    even/odd is the parity of l + m.  Returns (flat, scale, pair_m,
-    group_m, zonal): flat[j] is the position of flat coefficient j in the
+    Order m <= L/2 fills columns 0..L-m of slab m, order m > L/2 columns
+    m+1..L+1 of slab L-m (the middle slab of an even L is zero-padded).
+    Slab k has 8 lanes, two groups of (cos even, cos odd, sin even, sin
+    odd): group 2k for m = k and 2k+1 for m = L-k, where even/odd is the
+    parity of l + m.  Returns (flat, scale, pair_m, group_m, zonal,
+    slab_m, col_m): flat[j] is the position of flat coefficient j in the
     (slabs, 8, L + 2) product, scale[j] its factor (1, sqrt 2 or
-    -sqrt 2), pair_m the m of each group, group_m the group of each m
-    and zonal the flat positions l*l + l of the m = 0 coefficients.
+    -sqrt 2), pair_m the m of each group, group_m the group of each m,
+    zonal the flat positions l*l + l of the m = 0 coefficients, and
+    slab_m and col_m the slab and the column of p_{m,m} of each m.
     """
+    k = np.arange(L + 1)
+    upper = 2 * k > L
+    slab_m = np.where(upper, L - k, k)
+    col_m = np.where(upper, k + 1, 0)
+    group_m = 2 * slab_m + upper
     l = degrees(L)
     m = np.arange((L + 1) ** 2) - l * l - l
     am = np.abs(m)
-    k = np.arange(L + 1)
-    group_m = 2 * np.minimum(k, L - k) + (2 * k > L)
-    column = np.where(2 * am > L, l + 1, l - am)
-    flat = (4 * group_m[am] + 2 * (m < 0) + (l + am) % 2) * (L + 2) + column
+    flat = ((4 * group_m[am] + 2 * (m < 0) + (l + am) % 2) * (L + 2)
+            + col_m[am] + l - am)
     scale = np.where(m == 0, 1.0, np.where(m > 0, SQRT2, -SQRT2))
     pair_m = np.stack((k, L - k), axis=1)[: L // 2 + 1].ravel()
     zonal = k * k + k
-    out = (flat, scale, pair_m, group_m, zonal)
+    out = (flat, scale, pair_m, group_m, zonal, slab_m, col_m)
     for a in out:
         a.flags.writeable = False
     return out
@@ -199,7 +195,7 @@ def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
     """Project a field onto harmonics up to degree L: c_lm = integrate(f*Y_lm)."""
     grid = f.grid
     slabs = _legendre_tables(grid, L)
-    flat, scale, pair_m, _, zonal = _slab_index(L)
+    flat, scale, pair_m, _, zonal, *_ = _slab_index(L)
     nh, h = grid.n_theta // 2, slabs.shape[1]
     v = f.values
     # one column first, so a non-zonal field is turned away cheaply
@@ -235,7 +231,7 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     """Evaluate sum_lm c_lm Y_lm at every grid node."""
     L = s.L
     slabs = _legendre_tables(grid, L)
-    flat, scale, _, group_m, zonal = _slab_index(L)
+    flat, scale, _, group_m, zonal, *_ = _slab_index(L)
     n, nh, h = grid.n_theta, grid.n_theta // 2, slabs.shape[1]
     c0 = s.coeff[zonal]
     if np.count_nonzero(s.coeff) == np.count_nonzero(c0):

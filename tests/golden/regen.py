@@ -9,8 +9,9 @@ reference field by field and prints each moved field as
     case path: old -> new  [within | OUTSIDE | not compared]
 
 where the verdict is the tolerance table's.  With --write it then
-rewrites the references of the cases it ran.  A change that rewrites
-references lists every moved value in CHANGES.md.
+rewrites the references of the cases it ran.  It exits with status 1
+when any field is outside tolerance, so it can serve as a check.  A
+change that rewrites references lists every moved value in CHANGES.md.
 """
 
 import argparse
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
             path.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
     print(f"{outside} field(s) outside tolerance"
           + ("; references written" if args.write else ""))
-    return 0
+    return 1 if outside else 0
 
 
 if __name__ == "__main__":

@@ -239,10 +239,12 @@ def test_legendre_table_holds_half_the_nodes(grid_hires):
     assert tables.nbytes <= (L // 2 + 1) * (L + 2) * 128 * 8
 
 
-def test_legendre_table_matches_scipy_at_the_nodes():
+@pytest.mark.parametrize("n_phi, L", [(64, 30), (66, 31)], ids=["L30", "L31"])
+def test_legendre_table_matches_scipy_at_the_nodes(n_phi, L):
     # s = sin(theta) from the grid, not sqrt(1 - x^2), keeps the pole
     # rows accurate: 6.7e-15 here, against 1.4e-12 from sqrt(1 - x^2)
-    g, L = build_grid(2048, 64), 30
+    g = build_grid(2048, n_phi)
+    assert max_degree(g) == L
     slabs = _legendre_tables(g, L)
     h = slabs.shape[1]
     # scipy's p_lm carries the Condon-Shortley phase the basis drops
@@ -252,6 +254,9 @@ def test_legendre_table_matches_scipy_at_the_nodes():
         k, r = (m, 0) if 2 * m <= L else (L - m, m + 1)
         rows = slabs[k, :, r:r + L + 1 - m]
         assert np.max(np.abs(rows - ref[m:, m].T)) <= 1e-13
+    if L % 2 == 0:
+        # the middle slab holds m = L/2 alone; its other columns are padding
+        assert not slabs[L // 2, :, L // 2 + 1:].any()
 
 
 def test_transforms_reject_a_grid_that_is_not_mirror_symmetric():
