@@ -10,16 +10,14 @@ Euler-Lagrange residual of
 the Kazdan-Warner moment identity, and the closed-form/numeric pieces
 of the two-point concentration energy expansion.
 
-The gradient and the EL residual share one residual field.  el_residual
-takes its Kazdan-Warner defects in closed form (the curvature is
-constant): a scaled zero-moment constraint, identically 0 at eps = 1/2,
-not a test of the equation; kazdan_warner_residual is the general-h one.
-
 One private kernel, _exp2u, gives evaluate, the EL residual, the
 gradient, kazdan_warner_residual and the optimizer every exp(2u)
 integral, with a log-average accurate at both ends of the mass.  One
 private constructor, _report, writes out J, I, the shifted I, I_alpha,
-I_eps and the normalized moments for evaluate and the optimizer.
+I_eps and the normalized moments for evaluate and the optimizer; beside
+it, _residual forms the EL residual, its norm, zero-integral check and
+closed-form Kazdan-Warner defects from -Lap u and the exp(2u) parts,
+for el_residual (hence l2_gradient) and the optimizer.
 Overflow is a first-class blow-up signal (RangeOverflowError), never a crash.
 """
 
@@ -145,28 +143,6 @@ def evaluate(u: ScalarField, alpha: float | None = None,
                    log_avg_exp, mass, moments, alpha, eps)
 
 
-def _el_field(u: ScalarField, eps: float):
-    """The Euler-Lagrange residual r = -Lap u - 8 pi (1-eps)(exp(2u)/mass
-    - 1/(4 pi)) as values, with the mass and moments it used."""
-    e2u, mass, moments, _ = _exp2u(u.grid, u.values)
-    r = (-_laplacian_values(u)
-         - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI))
-    return r, mass, moments
-
-
-def l2_gradient(u: ScalarField, eps: float) -> ScalarField:
-    """L^2 gradient of the shift-invariant perturbed functional:
-
-        g = -Lap u / (4 pi (1-eps)) + 1/(2 pi) - 2 exp(2u)/mass,
-
-    the Euler-Lagrange residual divided by 4 pi (1-eps).  Vanishes
-    exactly on solutions of the Euler-Lagrange equation; its integral is
-    zero for every u (the two constant terms balance).
-    """
-    r, _, _ = _el_field(u, eps)
-    return ScalarField(u.grid, r / (FOUR_PI * (1.0 - eps)))
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """Euler-Lagrange residual field/norm plus Kazdan-Warner defects."""
@@ -176,9 +152,10 @@ class ResidualReport:
     kw_residual: np.ndarray = field(default=None, repr=False)
 
 
-def el_residual(u: ScalarField, eps: float) -> ResidualReport:
-    """Residual r = -Lap u - 8 pi (1-eps)(exp(2u)/mass - 1/(4 pi)) of the
-    Euler-Lagrange equation; its zero integral is asserted on every call.
+def _residual(grid: SphericalGrid, neg_lap_u: np.ndarray, e2u: np.ndarray,
+              mass: float, moments: np.ndarray, eps: float) -> ResidualReport:
+    """The one place r = -Lap u - 8 pi (1-eps)(exp(2u)/mass - 1/(4 pi)) is
+    formed; its zero integral is asserted.
 
     kw_residual: Kazdan-Warner defects of Lap v + h exp(v) = c for
     v = 2u - ln mass, h = 16 pi (1-eps), c = 4 (1-eps).  h is constant, so
@@ -188,8 +165,7 @@ def el_residual(u: ScalarField, eps: float) -> ResidualReport:
     Yang, Acta Math. 1987).  They do not test the equation (r does) or
     the general-h identity (kazdan_warner_residual).
     """
-    grid = u.grid
-    r, mass, moments = _el_field(u, eps)
+    r = neg_lap_u - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI)
     norm = float(np.sqrt(integrate_values(grid, r * r)))
     total = integrate_values(grid, r)
     if abs(total) > 1e-9 * max(1.0, norm):
@@ -198,6 +174,26 @@ def el_residual(u: ScalarField, eps: float) -> ResidualReport:
     kw = 8.0 * (1.0 - 2.0 * eps) * (1.0 - eps) * (moments / mass)
     return ResidualReport(el_residual_field=ScalarField(grid, r),
                           el_residual_norm=norm, kw_residual=kw)
+
+
+def el_residual(u: ScalarField, eps: float) -> ResidualReport:
+    """Euler-Lagrange residual of u and its closed-form Kazdan-Warner
+    defects (see _residual), -Lap u taken at the grid's max_degree."""
+    e2u, mass, moments, _ = _exp2u(u.grid, u.values)
+    return _residual(u.grid, -_laplacian_values(u), e2u, mass, moments, eps)
+
+
+def l2_gradient(u: ScalarField, eps: float) -> ScalarField:
+    """L^2 gradient of the shift-invariant perturbed functional:
+
+        g = -Lap u / (4 pi (1-eps)) + 1/(2 pi) - 2 exp(2u)/mass,
+
+    the Euler-Lagrange residual divided by 4 pi (1-eps).  Vanishes
+    exactly on solutions of the Euler-Lagrange equation; its integral is
+    zero for every u (the two constant terms balance), and is asserted.
+    """
+    r = el_residual(u, eps).el_residual_field.values
+    return ScalarField(u.grid, r / (FOUR_PI * (1.0 - eps)))
 
 
 def kazdan_warner_residual(v: ScalarField, h: ScalarField, c: float) -> np.ndarray:

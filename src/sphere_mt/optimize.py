@@ -32,7 +32,7 @@ import numpy as np
 
 from . import conformal, harmonics
 from .errors import RangeOverflowError
-from .functional import _exp2u, _report, el_residual
+from .functional import _exp2u, _report, _residual
 from .grid import FOUR_PI, ScalarField, build_grid
 from .io import read_field
 
@@ -78,8 +78,9 @@ class MinimizeConfig:
                              f"{self.max_outer} and {self.max_inner}")
         if self.init_kind not in ("zero", "random", "bubble_pair", "file"):
             raise ValueError(f"unknown init kind {self.init_kind!r}")
-        if self.init_kind == "file" and self.init_path is None:
-            raise ValueError("init kind 'file' needs an init_path")
+        if (self.init_kind == "file") != (self.init_path is not None):
+            raise ValueError("init kind 'file' and init_path go together, got "
+                             f"kind {self.init_kind!r} and path {self.init_path!r}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,8 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Outcome of a run: gauge-fixed minimizer, diagnostics, trace."""
+    """Outcome of a run: gauge-fixed minimizer, diagnostics, trace; the
+    EL residual takes -Lap u from coeff, l(l+1) c_lm at degree <= L."""
 
     u_star: ScalarField = field(repr=False)
     value: float | None
@@ -208,7 +210,9 @@ def _result(ws, coeff, st, multipliers, trace, status) -> MinimizeResult:
     u_star = ScalarField(ws.grid, st[0])
     resid = kw = None
     if st[2] is not None:
-        rep = el_residual(u_star, ws.config.eps)
+        neg_lap = harmonics.HarmonicSpectrum(L=ws.L, coeff=ws.ll1 * coeff)
+        rep = _residual(ws.grid, harmonics.synthesize(neg_lap, ws.grid).values,
+                        st[1], st[2].mass, st[2].moments, ws.config.eps)
         resid, kw = rep.el_residual_norm, rep.kw_residual
     return MinimizeResult(
         u_star=u_star, value=trace[-1].value, multipliers=multipliers,

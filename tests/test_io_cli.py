@@ -254,6 +254,9 @@ _MISSING = "{missing}"
     (["check", "--L", "-1"], 2),
     (["minimize", "--eps", "0.2", "--tol-grad", "nan"], 2),
     (["minimize", "--eps", "0.2", "--init", "file"], 2),
+    (["minimize", "--eps", "0.25", "--init-file", _MISSING], 2),
+    (["minimize", "--continuation", "0.4,0.3", "--init", "random",
+      "--init-file", _MISSING], 2),
     (["evaluate", "--eps", "1"], 2),
     (["evaluate", "--eps", "1.5"], 2),
     (["evaluate", "--alpha", "nan"], 2),

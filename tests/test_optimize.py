@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sphere_mt import (FOUR_PI, ContinuationResult, MinimizeConfig,
-                       ScalarField, average, continuation, evaluate, minimize)
+                       ScalarField, average, continuation, el_residual,
+                       evaluate, harmonics, minimize)
 from sphere_mt.harmonics import flat_index
 from sphere_mt.io import to_jsonable
 from sphere_mt.optimize import (MASS_THRESHOLD, MU0, STATUS_BLOWUP,
@@ -23,7 +24,8 @@ def test_config_validation():
         MinimizeConfig(eps=0.2, init_kind="warmish")
     for bad in ({"tol_grad": np.nan}, {"tol_constraint": np.inf},
                 {"max_outer": 0}, {"max_outer": -1}, {"max_inner": -1},
-                {"init_kind": "file"}):
+                {"init_kind": "file"}, {"init_path": "u.bin"},
+                {"init_kind": "random", "init_path": "u.bin"}):
         with pytest.raises(ValueError):
             MinimizeConfig(eps=0.2, **bad)
     MinimizeConfig(eps=0.0)  # direct problem admitted
@@ -117,6 +119,41 @@ def test_random_start_iteration_count():
     res = minimize(MinimizeConfig(eps=0.25, init_kind="random", init_seed=3))
     assert res.status == STATUS_CONVERGED
     assert sum(e.inner_iters for e in res.trace) <= 30
+
+
+def test_result_residual_is_el_residual_of_the_minimizer():
+    # _result takes -Lap u from the coefficients at degree L, el_residual
+    # from u_star at the grid's max_degree: one residual up to rounding
+    ladder = continuation([0.4, 0.3, 0.2, 0.1, 0.05], MinimizeConfig(
+        eps=0.4, L=16, n_theta=64, n_phi=128, init_kind="bubble_pair",
+        init_t=3.7))
+    for res in (minimize(MinimizeConfig(eps=0.25, init_kind="random",
+                                        init_seed=3)), ladder.results[-1]):
+        assert res.status == STATUS_CONVERGED
+        ref = el_residual(res.u_star, res.eps)
+        assert (abs(res.el_residual_norm - ref.el_residual_norm)
+                <= 1e-12 * ref.el_residual_norm)
+        assert np.array_equal(res.kw_residual, ref.kw_residual)
+
+
+def test_minimize_transforms_only_at_its_own_degree(monkeypatch):
+    degrees = []
+    analyze, synthesize = harmonics.analyze, harmonics.synthesize
+
+    def recording_analyze(f, L):
+        degrees.append(L)
+        return analyze(f, L)
+
+    def recording_synthesize(s, grid):
+        degrees.append(s.L)
+        return synthesize(s, grid)
+
+    monkeypatch.setattr(harmonics, "analyze", recording_analyze)
+    monkeypatch.setattr(harmonics, "synthesize", recording_synthesize)
+    res = minimize(MinimizeConfig(eps=0.25, L=16, n_theta=64, n_phi=128,
+                                  init_kind="bubble_pair", init_t=3.7))
+    assert res.status == STATUS_CONVERGED
+    assert degrees and set(degrees) == {16}
 
 
 def test_random_init_reaches_the_same_basin():
