@@ -18,6 +18,7 @@ reproduces JSON/CSV output byte-for-byte on the same platform.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -177,21 +178,21 @@ def cmd_evaluate(args) -> int:
         return EXIT_USAGE
     f = _load_or_make_field(args)
     report = functional.evaluate(f, alpha=args.alpha, eps=args.eps)
-    text = report_json(report)
     if args.out:
         write_report(args.out, report)
     else:
-        print(text)
+        print(report_json(report))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- sweep
 
 def sweep_grid_sizes(t_max: float, n_theta: int, n_phi: int) -> tuple[int, int]:
-    """Grow the grid so the largest requested dilation stays resolvable."""
+    """Grow the grid so the largest requested dilation stays resolvable;
+    a grown grid takes n_phi = max(n_phi, 2 n_theta)."""
     need = int(math.ceil(conformal._CORE_NODES * t_max))
     if need > n_theta:
-        return need, 2 * need
+        return need, max(n_phi, 2 * need)
     return n_theta, n_phi
 
 
@@ -272,17 +273,9 @@ def cmd_minimize(args) -> int:
 def cmd_expansion(args) -> int:
     r_values = _parse_float_list(args.R_list, "--R-list")
     t_values = _parse_float_list(args.t_list, "--t-list")
-    header = ["t", "R", "lambda_peak", "I1_closed", "I1_numeric",
-              "I1_truncated", "truncation_gap", "D_value", "core_mass",
-              "obstruction"]
-    rows = []
-    for t in t_values:
-        for r in r_values:
-            rep = functional.energy_expansion_report(t, r)
-            rows.append([rep.t, rep.R, rep.lambda_peak, rep.I1_closed,
-                         rep.I1_numeric, rep.I1_truncated,
-                         rep.truncation_gap, rep.D_value, rep.core_mass,
-                         rep.obstruction])
+    header = [f.name for f in dataclasses.fields(functional.ExpansionReport)]
+    rows = [dataclasses.astuple(functional.energy_expansion_report(t, r))
+            for t in t_values for r in r_values]
     text = write_csv(args.out, header, rows)
     if not args.out:
         sys.stdout.write(text)

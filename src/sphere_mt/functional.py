@@ -7,8 +7,9 @@ Euler-Lagrange residual of
 
     -Lap u = 8 pi (1-eps) (exp(2u)/mass - 1/(4 pi)),
 
-the Kazdan-Warner moment identity, and the closed-form/numeric pieces
-of the two-point concentration energy expansion.
+the Kazdan-Warner moment identity for any curvature h (the first
+moments of one field, two Laplacians), and the closed-form/numeric
+pieces of the two-point concentration energy expansion.
 
 One private kernel, _exp2u, gives evaluate, the EL residual, the
 gradient, kazdan_warner_residual and the optimizer every exp(2u)
@@ -201,21 +202,20 @@ def kazdan_warner_residual(v: ScalarField, h: ScalarField, c: float) -> np.ndarr
 
         r_i = avg(exp(v) grad h . grad x_i) - (2 - c) avg(exp(v) h x_i).
 
-    grad h . grad x_i is computed from scalar Laplacians only:
-    (1/2)[Lap(h x_i) - x_i Lap h + 2 h x_i], using Lap x_i = -2 x_i.
+    2 grad h . grad x_i = Lap(h x_i) - x_i Lap h + 2 h x_i (Lap x_i = -2 x_i).
+    Lap = S diag(-l(l+1)) A (A analyze, S synthesize) is symmetric under
+    the quadrature: int f Lap g = sum -l(l+1) A(f)_lm A(g)_lm = int g Lap f.
+    So r_i = avg(x_i q), q = (h Lap e^v - e^v Lap h)/2 + (c - 1) h e^v:
+    two Laplacians, of e^v and of h.  _residual's closed form is the
+    constant-h case: Lap h = 0 and avg(x_i Lap e^v) = -2 avg(x_i e^v)
+    exactly, x_i being of degree 1.
     """
     grid = v.grid
     ev = _exp2u(grid, 0.5 * v.values)[0]
-    lap_h = _laplacian_values(h)
-    out = np.empty(3)
-    for i in range(3):
-        xi = grid.xyz[:, :, i]
-        lap_hx = _laplacian_values(ScalarField(grid, h.values * xi))
-        grad_dot = 0.5 * (lap_hx - xi * lap_h + 2.0 * h.values * xi)
-        lhs = integrate_values(grid, ev * grad_dot) / FOUR_PI
-        rhs = integrate_values(grid, ev * h.values * xi) / FOUR_PI
-        out[i] = lhs - (2.0 - c) * rhs
-    return out
+    q = (0.5 * (h.values * _laplacian_values(ScalarField(grid, ev))
+                - ev * _laplacian_values(h)) + (c - 1.0) * h.values * ev)
+    return np.array([integrate_values(grid, q * grid.xyz[:, :, i])
+                     for i in range(3)]) / FOUR_PI
 
 
 @dataclass(frozen=True)

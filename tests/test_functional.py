@@ -229,16 +229,64 @@ def test_kw_zero_on_manufactured_general_h_solution():
         assert np.max(np.abs(kazdan_warner_residual(v, tilted, c))) >= 1e-2
 
 
-def test_kw_nontrivial_value(grid_default):
-    # v = 0, h = 2 + x3, c = 1:
+@pytest.mark.parametrize("shape, seed", [((64, 128), None), ((48, 96), 1),
+                                         ((65, 130), 2), ((256, 512), 3)],
+                         ids=["v0-64x128", "48x96", "65x130", "256x512"])
+def test_kw_nontrivial_value(shape, seed):
+    # affine h = b + a . x has grad h . grad x_i = a_i - x_i (a . x), so
+    #   r_i = avg(exp(v) (a_i - x_i (a . x) - (2 - c) h x_i))
+    # pointwise, with no Laplacian.  seed None is v = 0, h = 2 + x3, c = 1:
     #   avg(grad h . grad x_3) = avg(|grad x3|^2) = 2/3
     #   (2 - c) avg(h x_3) = 1 * avg(x3^2) = 1/3
     # so r = (0, 0, 1/3)
-    h = ScalarField(grid_default, 2.0 + grid_default.xyz[:, :, 2])
-    r = kazdan_warner_residual(constant_field(grid_default, 0.0), h, c=1.0)
-    assert r[0] == pytest.approx(0.0, abs=1e-12)
-    assert r[1] == pytest.approx(0.0, abs=1e-12)
-    assert r[2] == pytest.approx(1.0 / 3.0, rel=1e-10)
+    from sphere_mt import integrate
+    grid = build_grid(*shape)
+    x = grid.xyz
+    if seed is None:
+        v, b, c = constant_field(grid, 0.0), 2.0, 1.0
+        a = np.array([0.0, 0.0, 1.0])
+    else:
+        rng = np.random.default_rng(10 + seed)
+        v = random_field(grid, L=8, scale=0.3, seed=seed)
+        a = rng.standard_normal(3)
+        b, c = rng.uniform(1.0, 3.0), rng.uniform(0.5, 3.5)
+    ax = x @ a
+    h = b + ax
+    ev = np.exp(v.values)
+    oracle = np.array([
+        integrate(ScalarField(grid, ev * (a[i] - x[:, :, i] * ax
+                                          - (2.0 - c) * h * x[:, :, i])))
+        for i in range(3)]) / FOUR_PI
+    r = kazdan_warner_residual(v, ScalarField(grid, h), c)
+    assert np.max(np.abs(r - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+    if seed is None:
+        assert r[0] == pytest.approx(0.0, abs=1e-12)
+        assert r[1] == pytest.approx(0.0, abs=1e-12)
+        assert r[2] == pytest.approx(1.0 / 3.0, rel=1e-10)
+
+
+def test_kw_takes_two_max_degree_laplacians(grid_default, monkeypatch):
+    # one Laplacian of exp(v) and one of h, each an analyze and a
+    # synthesize at the grid's max_degree
+    from sphere_mt import harmonics
+    calls = {"analyze": [], "synthesize": []}
+    analyze, synthesize = harmonics.analyze, harmonics.synthesize
+
+    def recording_analyze(f, L):
+        calls["analyze"].append(L)
+        return analyze(f, L)
+
+    def recording_synthesize(s, grid):
+        calls["synthesize"].append(s.L)
+        return synthesize(s, grid)
+
+    monkeypatch.setattr(harmonics, "analyze", recording_analyze)
+    monkeypatch.setattr(harmonics, "synthesize", recording_synthesize)
+    v = random_field(grid_default, L=8, scale=0.3, seed=4)
+    h = ScalarField(grid_default, 2.0 + grid_default.xyz[:, :, 0])
+    kazdan_warner_residual(v, h, c=1.5)
+    top = harmonics.max_degree(grid_default)
+    assert calls == {"analyze": [top, top], "synthesize": [top, top]}
 
 
 # ------------------------------------------------------ energy expansion

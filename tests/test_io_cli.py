@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphere_mt import FormatError, ScalarField, build_grid, minimize, MinimizeConfig
-from sphere_mt.cli import main
+from sphere_mt.cli import main, sweep_grid_sizes
 from sphere_mt.io import (format_cell, read_field, to_jsonable, write_csv,
                           write_field, write_report)
 
@@ -367,6 +367,13 @@ def test_cli_sweep_table(capsys):
     assert len(lines) == 4
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 2.0
+
+
+def test_sweep_grid_sizes_keeps_a_requested_n_phi():
+    # a grown grid takes n_theta = 8 t_max and at least 2 n_theta longitudes
+    assert sweep_grid_sizes(32.0, 64, 128) == (256, 512)
+    assert sweep_grid_sizes(32.0, 32, 1024) == (256, 1024)
+    assert sweep_grid_sizes(4.0, 64, 130) == (64, 130)
 
 
 def test_cli_sweep_deterministic(tmp_path):
