@@ -9,6 +9,10 @@ equivalent to exp(w_t) = t (1 + |z|^2) / (1 + t^2 |z|^2) in stereographic
 coordinates z centered at the pole.  This form is numerically stable at
 both poles and is pinned down by three testable requirements: w_1 = 0,
 area preservation of exp(2 w_t), and -Lap w_t = exp(2 w_t) - 1.
+
+The pullback T u = u o phi + w_t composes through one quintic spline fit
+of u: its tensor spline for an off-axis pole, its restriction to the
+grid's longitudes for an axis pole.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ SOUTH = np.array([0.0, 0.0, -1.0])
 _CORE_NODES = 8
 
 #: pullback splines: the degree, and the rows copied across each pole
-#: (and columns across each end of the period).  Both spline paths read
-#: them, so the axis path stays the tensor spline at the grid's longitudes.
+#: (and columns across each end of the period)
 _SPLINE_ORDER = 5
 _POLE_PAD = 6
 
@@ -112,12 +115,17 @@ def mobius_point_map(map: MobiusMap, xyz: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pole_extended(u: ScalarField):
-    """Colatitudes and rows of the field extended by _POLE_PAD rows across
-    both poles via u(-th, ph) = u(th, ph+pi).
+def _meridian_spline(u: ScalarField):
+    """Not-a-knot spline in theta alone of every column, the field first
+    extended by _POLE_PAD rows across both poles via u(-th, ph) =
+    u(th, ph+pi).
 
     Requires even n_phi so the half-turn is an exact column roll.
     """
+    # scipy.interpolate is imported here, not at module level: it is most
+    # of the package's import time, and only the pullback uses it
+    from scipy.interpolate import make_interp_spline
+
     grid = u.grid
     if grid.n_phi % 2 != 0:
         raise ResolutionError("interpolation across the poles requires even n_phi")
@@ -126,37 +134,29 @@ def _pole_extended(u: ScalarField):
     rolled = np.roll(vals, grid.n_phi // 2, axis=1)
     theta_ext = np.concatenate([-grid.theta[:pt][::-1], grid.theta,
                                 2.0 * np.pi - grid.theta[-pt:][::-1]])
-    return theta_ext, np.vstack([rolled[:pt][::-1], vals, rolled[-pt:][::-1]])
+    stacked = np.vstack([rolled[:pt][::-1], vals, rolled[-pt:][::-1]])
+    return make_interp_spline(theta_ext, stacked,
+                              k=min(_SPLINE_ORDER, len(theta_ext) - 1))
 
 
-def _padded_spline(u: ScalarField):
-    """Spline of the field on the (theta, phi) rectangle, extended
-    across both poles and periodically in phi."""
-    # scipy.interpolate is imported here, not at module level: it is most
-    # of the package's import time, and only the pullback uses it
-    from scipy.interpolate import RectBivariateSpline
+def _tensor_spline(u: ScalarField):
+    """Tensor spline on the (theta, phi) rectangle: the meridian fit's
+    coefficients interpolated in phi over the period extended by
+    _POLE_PAD columns at each end (de Boor, A Practical Guide to
+    Splines, ch. 17: a tensor interpolant is 1-D fits done in turn)."""
+    from scipy.interpolate import NdBSpline, make_interp_spline
 
-    theta_ext, stacked = _pole_extended(u)
+    meridian = _meridian_spline(u)
     grid = u.grid
     pp = min(_POLE_PAD, grid.n_phi)
     phi_ext = np.concatenate([grid.phi[-pp:] - 2.0 * np.pi, grid.phi,
                               grid.phi[:pp] + 2.0 * np.pi])
-    ext = np.concatenate([stacked[:, -pp:], stacked, stacked[:, :pp]], axis=1)
-
-    kx = min(_SPLINE_ORDER, len(theta_ext) - 1)
-    ky = min(_SPLINE_ORDER, len(phi_ext) - 1)
-    return RectBivariateSpline(theta_ext, phi_ext, ext, kx=kx, ky=ky)
-
-
-def _meridian_spline(u: ScalarField):
-    """Spline in theta alone of every pole-extended column: the tensor
-    spline of _padded_spline restricted to the grid's own longitudes."""
-    # imported here for the same reason as in _padded_spline
-    from scipy.interpolate import make_interp_spline
-
-    theta_ext, stacked = _pole_extended(u)
-    return make_interp_spline(theta_ext, stacked,
-                              k=min(_SPLINE_ORDER, len(theta_ext) - 1))
+    c = meridian.c
+    along_phi = make_interp_spline(
+        phi_ext, np.concatenate([c[:, -pp:], c, c[:, :pp]], axis=1),
+        k=min(_SPLINE_ORDER, len(phi_ext) - 1), axis=1)
+    return NdBSpline((meridian.t, along_phi.t), np.moveaxis(along_phi.c, 0, 1),
+                     (meridian.k, along_phi.k))
 
 
 def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
@@ -166,18 +166,16 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
     spline interpolation on the periodic grid (cubic misses the 1e-8
     mass-preservation contract at the default grid).
 
-    A pole on the grid axis (+-e_z) moves every node along its own
-    meridian: phi' = phi, and theta' depends on theta alone.  A tensor
-    interpolating spline evaluated at the grid's own longitudes is the
-    interpolant in theta of each column, since the phi factor reproduces
-    its own data there (de Boor, A Practical Guide to Splines, ch. 17).
-    So an axis pole fits one not-a-knot quintic in theta to all columns
-    at once (the knots fitpack picks for an interpolating fit) and
-    evaluates it at theta'; it agrees with the scattered evaluation of
-    the tensor spline to ~1e-14.  Any other pole fits the tensor spline
-    and evaluates it point by point.  At 256x512 (one BLAS thread, 2
-    shared vCPUs) an axis-pole pullback takes about 7 ms and an
-    off-axis one 175 ms, 130 ms of it the scattered evaluation.
+    There is one fit: _meridian_spline, a not-a-knot quintic in theta of
+    every pole-extended column.  Any pole off the grid axis extends it in
+    phi to the tensor spline (_tensor_spline) and evaluates that at each
+    node's target.  A pole on the axis (+-e_z) moves every node along its
+    own meridian: phi' = phi, and theta' depends on theta alone.  At the
+    grid's own longitudes the phi factor reproduces its data, so the
+    tensor spline there is the meridian spline, and an axis pole
+    evaluates that at theta' directly.  At 256x512 (one BLAS thread, 2
+    shared vCPUs) an axis-pole pullback takes about 4 ms and an off-axis
+    one 110 ms, 90 ms of it the evaluation at the targets.
     """
     grid = u.grid
     _check_t(grid, map.t)
@@ -191,8 +189,7 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
         z = np.clip(target[:, :, 2], -1.0, 1.0)
         theta_p = np.arccos(z)
         phi_p = np.mod(np.arctan2(target[:, :, 1], target[:, :, 0]), 2.0 * np.pi)
-        spline = _padded_spline(u)
-        composed = spline.ev(theta_p.ravel(), phi_p.ravel()).reshape(u.values.shape)
+        composed = _tensor_spline(u)(np.stack((theta_p, phi_p), axis=-1))
     w = mobius_factor(map, grid)
     return ScalarField(grid, composed + w.values)
 
@@ -260,4 +257,4 @@ def green_two_pole(grid: SphericalGrid) -> ScalarField:
     can be checked by finite differences.
     """
     vals = green_two_pole_value(grid.theta)
-    return ScalarField(grid, np.repeat(np.asarray(vals)[:, None], grid.n_phi, axis=1))
+    return ScalarField(grid, np.broadcast_to(vals[:, None], (grid.n_theta, grid.n_phi)))

@@ -107,7 +107,8 @@ class TraceEntry:
 @dataclass(frozen=True)
 class MinimizeResult:
     """Outcome of a run: gauge-fixed minimizer, diagnostics, trace; the
-    EL residual takes -Lap u from coeff, l(l+1) c_lm at degree <= L."""
+    EL residual takes -Lap u from coeff, l(l+1) c_lm at degree <= L, and
+    status "converged" does not bound it (see minimize)."""
 
     u_star: ScalarField = field(repr=False)
     value: float | None
@@ -270,9 +271,12 @@ def minimize(config: MinimizeConfig,
     -gamma * precond * g with the memory dropped if that is not a descent
     direction.  Each step tries alpha = 1, then Armijo backtracking.
     Returns converged / blowup_detected / iteration_cap;
-    evaluation overflow becomes blowup_detected.  The start is
-    initial_coeff if given (the caller's array is not modified), else the
-    one config.init_kind describes; its constant mode is set to zero.
+    evaluation overflow becomes blowup_detected.  converged bounds the
+    Sobolev-preconditioned gradient norm (by tol_grad) and the violation
+    (by tol_constraint), not the L^2 EL residual, which can stay above
+    1e-6.  The start is initial_coeff if given (the caller's array is not
+    modified), else the one config.init_kind describes; its constant mode
+    is set to zero.
     """
     ws = _Workspace(config)
     start = _initial_coeff(ws, config) if initial_coeff is None else initial_coeff
@@ -398,10 +402,8 @@ def continuation(eps_list, base: MinimizeConfig) -> ContinuationResult:
     if any(s == STATUS_BLOWUP for s in statuses):
         classification = "blowing_up"
     elif all(s == STATUS_CONVERGED for s in statuses):
-        finite = [m for m in masses if m is not None]
-        exploding = (len(finite) == len(masses)
-                     and all(b > a for a, b in zip(finite, finite[1:]))
-                     and finite[-1] > 100.0 * finite[0])
+        exploding = (all(b > a for a, b in zip(masses, masses[1:]))
+                     and masses[-1] > 100.0 * masses[0])
         classification = "blowing_up" if exploding else "compact"
     else:
         classification = "inconclusive"

@@ -10,7 +10,7 @@ from sphere_mt import (FOUR_PI, HarmonicSpectrum, MobiusMap, ResolutionError,
                        integrate, laplacian, max_bubble_t, max_degree,
                        mobius_factor, mobius_pullback, planar_bubble,
                        synthesize)
-from sphere_mt.conformal import NORTH, SOUTH, _padded_spline, mobius_point_map
+from sphere_mt.conformal import NORTH, SOUTH, mobius_point_map
 
 from _oracles import evaluate_at_points, pair_energy, single_bubble_energy
 
@@ -173,24 +173,54 @@ def test_pullback_of_zero_sits_on_equality_case(grid_default):
 
 
 def scattered_pullback(u, m):
-    """u o phi_m + w_m with the spline evaluated point by point at every
-    node's target, the path mobius_pullback takes for an off-axis pole."""
+    """u o phi_m + w_m from an independent fit: fitpack's interpolating
+    quintic RectBivariateSpline of the values extended by 6 rows across
+    each pole (u(-th, ph) = u(th, ph+pi)) and 6 columns across each end
+    of the period, evaluated point by point at every node's target."""
+    from scipy.interpolate import RectBivariateSpline
+
     grid = u.grid
+    pad = 6
+    rolled = np.roll(u.values, grid.n_phi // 2, axis=1)
+    theta_ext = np.concatenate([-grid.theta[:pad][::-1], grid.theta,
+                                2.0 * np.pi - grid.theta[-pad:][::-1]])
+    rows = np.vstack([rolled[:pad][::-1], u.values, rolled[-pad:][::-1]])
+    phi_ext = np.concatenate([grid.phi[-pad:] - 2.0 * np.pi, grid.phi,
+                              grid.phi[:pad] + 2.0 * np.pi])
+    ext = np.concatenate([rows[:, -pad:], rows, rows[:, :pad]], axis=1)
+    spline = RectBivariateSpline(theta_ext, phi_ext, ext, kx=5, ky=5)
+
     target = mobius_point_map(m, grid.xyz)
     thp = np.arccos(np.clip(target[:, :, 2], -1.0, 1.0))
     php = np.mod(np.arctan2(target[:, :, 1], target[:, :, 0]), 2.0 * np.pi)
-    composed = _padded_spline(u).ev(thp.ravel(), php.ravel())
+    composed = spline.ev(thp.ravel(), php.ravel())
     return composed.reshape(u.values.shape) + mobius_factor(m, grid).values
 
 
 def test_axis_pullback_matches_scattered_evaluation(grid_default):
     # an axis pole is evaluated by a spline in theta alone; it must agree
-    # with the point-by-point evaluation of the tensor spline, at even
-    # and odd n_theta and at the benchmark's largest grid
+    # with the point-by-point evaluation of the fitpack tensor spline, at
+    # even and odd n_theta and at the benchmark's largest grid
     for grid in (grid_default, build_grid(65, 130), build_grid(256, 512)):
         f = synthesize_random(grid, L=8, scale=0.3, seed=grid.n_theta)
         for pole in (NORTH, SOUTH):
             for t in (1.5, 2.0, 4.0):
+                m = MobiusMap(pole, t)
+                tu = mobius_pullback(f, m)
+                assert np.max(np.abs(tu.values - scattered_pullback(f, m))) <= 1e-12
+
+
+def test_off_axis_pullback_matches_scattered_evaluation(grid_default):
+    # an off-axis pole extends the meridian fit in phi to a tensor spline;
+    # it must agree with fitpack's independent 2-D fit, at even and odd
+    # n_theta, on random poles and one pole 1e-3 off the axis
+    rng = np.random.default_rng(24)
+    near_axis = np.array([1e-3, 0.0, 1.0]) / np.hypot(1e-3, 1.0)
+    for grid in (grid_default, build_grid(65, 130)):
+        f = synthesize_random(grid, L=8, scale=0.3, seed=grid.n_theta)
+        poles = [p / np.linalg.norm(p) for p in rng.standard_normal((3, 3))]
+        for pole in poles + [near_axis]:
+            for t in (1.5, 3.0):
                 m = MobiusMap(pole, t)
                 tu = mobius_pullback(f, m)
                 assert np.max(np.abs(tu.values - scattered_pullback(f, m))) <= 1e-12
