@@ -12,7 +12,8 @@ area preservation of exp(2 w_t), and -Lap w_t = exp(2 w_t) - 1.
 
 The pullback T u = u o phi + w_t composes through one quintic spline fit
 of u: its tensor spline for an off-axis pole, its restriction to the
-grid's longitudes for an axis pole.
+grid's longitudes for an axis pole, and one column of that for an axis
+pole and a zonal u.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResolutionError
-from .grid import ScalarField, SphericalGrid
+from .grid import ScalarField, SphericalGrid, _is_zonal
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -115,22 +116,23 @@ def mobius_point_map(map: MobiusMap, xyz: np.ndarray) -> np.ndarray:
     return out
 
 
-def _meridian_spline(u: ScalarField):
-    """Not-a-knot spline in theta alone of every column, the field first
-    extended by _POLE_PAD rows across both poles via u(-th, ph) =
-    u(th, ph+pi).
+def _meridian_spline(grid: SphericalGrid, vals: np.ndarray):
+    """Not-a-knot spline in theta alone of every column of vals, the
+    columns first extended by _POLE_PAD rows across both poles via
+    u(-th, ph) = u(th, ph+pi).
 
-    Requires even n_phi so the half-turn is an exact column roll.
+    vals holds the field at all the grid's longitudes, or the one column
+    of a zonal field, whose half-turn is itself (the roll of one column
+    is that column).  Requires even n_phi so the half-turn is an exact
+    column roll.
     """
     # scipy.interpolate is imported here, not at module level: it is most
     # of the package's import time, and only the pullback uses it
     from scipy.interpolate import make_interp_spline
 
-    grid = u.grid
     if grid.n_phi % 2 != 0:
         raise ResolutionError("interpolation across the poles requires even n_phi")
     pt = min(_POLE_PAD, grid.n_theta)
-    vals = u.values
     rolled = np.roll(vals, grid.n_phi // 2, axis=1)
     theta_ext = np.concatenate([-grid.theta[:pt][::-1], grid.theta,
                                 2.0 * np.pi - grid.theta[-pt:][::-1]])
@@ -146,8 +148,8 @@ def _tensor_spline(u: ScalarField):
     Splines, ch. 17: a tensor interpolant is 1-D fits done in turn)."""
     from scipy.interpolate import NdBSpline, make_interp_spline
 
-    meridian = _meridian_spline(u)
     grid = u.grid
+    meridian = _meridian_spline(grid, u.values)
     pp = min(_POLE_PAD, grid.n_phi)
     phi_ext = np.concatenate([grid.phi[-pp:] - 2.0 * np.pi, grid.phi,
                               grid.phi[:pp] + 2.0 * np.pi])
@@ -173,25 +175,32 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
     own meridian: phi' = phi, and theta' depends on theta alone.  At the
     grid's own longitudes the phi factor reproduces its data, so the
     tensor spline there is the meridian spline, and an axis pole
-    evaluates that at theta' directly.  At 256x512 (one BLAS thread, 2
-    shared vCPUs) an axis-pole pullback takes about 4 ms and an off-axis
-    one 110 ms, 90 ms of it the evaluation at the targets.
+    evaluates that at theta' directly.  If u is also zonal (every row
+    equal to its first column bitwise, as bubble pairs, axis-pole
+    factors and u = 0 are), all its columns and their half-turns are one
+    column, so the axis pole fits and evaluates that column alone and
+    broadcasts it over phi: bitwise the fit of every column.  At 256x512
+    (one BLAS thread, 2 shared vCPUs) an axis-pole pullback takes about
+    4 ms (about 1 ms for a zonal u) and an off-axis one 110 ms, 90 ms of
+    it the evaluation at the targets.
     """
     grid = u.grid
     _check_t(grid, map.t)
     if map.is_identity:
         return u
+    w = mobius_factor(map, grid).values
     if map.on_axis:
         z = np.clip(mobius_point_map(map, grid.xyz[:, 0])[:, 2], -1.0, 1.0)
-        composed = _meridian_spline(u)(np.arccos(z))
+        vals = u.values[:, :1] if _is_zonal(u.values) else u.values
+        # an axis factor is constant in phi, so it adds on one column
+        tu = _meridian_spline(grid, vals)(np.arccos(z)) + w[:, :1]
     else:
         target = mobius_point_map(map, grid.xyz)
         z = np.clip(target[:, :, 2], -1.0, 1.0)
         theta_p = np.arccos(z)
         phi_p = np.mod(np.arctan2(target[:, :, 1], target[:, :, 0]), 2.0 * np.pi)
-        composed = _tensor_spline(u)(np.stack((theta_p, phi_p), axis=-1))
-    w = mobius_factor(map, grid)
-    return ScalarField(grid, composed + w.values)
+        tu = _tensor_spline(u)(np.stack((theta_p, phi_p), axis=-1)) + w
+    return ScalarField(grid, np.broadcast_to(tu, w.shape))
 
 
 @dataclass(frozen=True)

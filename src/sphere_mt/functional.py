@@ -13,7 +13,8 @@ pieces of the two-point concentration energy expansion.
 
 One private kernel, _exp2u, gives evaluate, the EL residual, the
 gradient, kazdan_warner_residual and the optimizer every exp(2u)
-integral, with a log-average accurate at both ends of the mass.  One
+integral; beside it, _log_avg_exp gives the functionals (evaluate and
+the optimizer) a log-average accurate at both ends of the mass.  One
 private constructor, _report, writes out J, I, the shifted I, I_alpha,
 I_eps and the normalized moments for evaluate and the optimizer; beside
 it, _residual forms the EL residual, its norm, zero-integral check and
@@ -41,14 +42,8 @@ OBSTRUCTION_CONSTANT = 1.0 - np.log(2.0)
 
 
 def _exp2u(grid: SphericalGrid, u: np.ndarray):
-    """The one exp(2u) kernel: (e2u, mass, moments, log_avg_exp), with
-    moments_i = int exp(2u) x_i and log_avg_exp = ln(mass / 4 pi).
-
-    While mass >= 2 pi, log_avg_exp is log1p(int expm1(2u) / 4 pi):
-    near u = 0, ln(mass / 4 pi) has only ~1e-16 absolute accuracy.  Below
-    2 pi it is ln(mass / 4 pi): where exp(2u) << 1, expm1(2u) rounds to
-    -1 and the excess mass cancels.
-    """
+    """The one exp(2u) kernel: (e2u, mass, moments), with
+    moments_i = int exp(2u) x_i."""
     two_u = 2.0 * u
     peak = float(two_u.max())
     if peak > EXP_LIMIT:
@@ -62,12 +57,22 @@ def _exp2u(grid: SphericalGrid, u: np.ndarray):
     mass = integrate_values(grid, e2u)
     moments = np.array([integrate_values(grid, e2u * grid.xyz[:, :, i])
                         for i in range(3)])
+    return e2u, mass, moments
+
+
+def _log_avg_exp(grid: SphericalGrid, u: np.ndarray, mass: float) -> float:
+    """ln(mass / 4 pi) for the mass _exp2u gave, accurate at both ends.
+
+    While mass >= 2 pi it is log1p(int expm1(2u) / 4 pi): near u = 0,
+    ln(mass / 4 pi) has only ~1e-16 absolute accuracy.  Below 2 pi it is
+    ln(mass / 4 pi): where exp(2u) << 1, expm1(2u) rounds to -1 and the
+    excess mass cancels.  Only the functionals need it (evaluate and the
+    optimizer's state), so the residuals skip its expm1 pass.
+    """
     if mass >= 0.5 * FOUR_PI:
-        log_avg_exp = float(np.log1p(
-            integrate_values(grid, np.expm1(two_u)) / FOUR_PI))
-    else:
-        log_avg_exp = float(np.log(mass / FOUR_PI))
-    return e2u, mass, moments, log_avg_exp
+        return float(np.log1p(
+            integrate_values(grid, np.expm1(2.0 * u)) / FOUR_PI))
+    return float(np.log(mass / FOUR_PI))
 
 
 def _laplacian_values(u: ScalarField) -> np.ndarray:
@@ -138,10 +143,10 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     if eps is not None and not (-np.inf < eps < 1.0):
         raise ValueError(f"eps={eps} must be finite and below 1")
     grid = u.grid
-    _, mass, moments, log_avg_exp = _exp2u(grid, u.values)
+    _, mass, moments = _exp2u(grid, u.values)
     spec = harmonics.analyze(u, harmonics.max_degree(grid) if L is None else L)
     return _report(harmonics.dirichlet_energy(spec) / FOUR_PI, average(u),
-                   log_avg_exp, mass, moments, alpha, eps)
+                   _log_avg_exp(grid, u.values, mass), mass, moments, alpha, eps)
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,7 @@ def _residual(grid: SphericalGrid, neg_lap_u: np.ndarray, e2u: np.ndarray,
 def el_residual(u: ScalarField, eps: float) -> ResidualReport:
     """Euler-Lagrange residual of u and its closed-form Kazdan-Warner
     defects (see _residual), -Lap u taken at the grid's max_degree."""
-    e2u, mass, moments, _ = _exp2u(u.grid, u.values)
+    e2u, mass, moments = _exp2u(u.grid, u.values)
     return _residual(u.grid, -_laplacian_values(u), e2u, mass, moments, eps)
 
 

@@ -218,6 +218,14 @@ class ScalarField:
         return float(self.values.min())
 
 
+def _is_zonal(values: np.ndarray) -> bool:
+    """Every row equal to its first column, bitwise: the field does not
+    vary in phi.  Column 1 is compared first, so a non-zonal field is
+    turned away after one column."""
+    return bool((values[:, 1] == values[:, 0]).all()
+                and (values == values[:, :1]).all())
+
+
 def constant_field(grid: SphericalGrid, value: float = 0.0) -> ScalarField:
     return ScalarField(grid, np.full((grid.n_theta, grid.n_phi), float(value)))
 

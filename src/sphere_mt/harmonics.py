@@ -44,11 +44,14 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   pullbacks, the two-pole Green function and u = 0 are axisymmetric,
   so their rows are constant in phi.  analyze takes such a field (every
   row equal to its first column bitwise) through m = 0 alone: one
-  parity-folded Gauss-Legendre sum against the m = 0 columns of slab 0,
-  with every m != 0 coefficient exactly 0.  synthesize takes a spectrum
-  whose m != 0 coefficients are all exactly 0 the same way, to one
-  column repeated over phi.  Both look up the same cached table and
-  skip the FFT, the lanes and the slab product.
+  parity-folded Gauss-Legendre sum against a cached table of p_{l,0}
+  at the northern nodes, with every m != 0 coefficient exactly 0.
+  synthesize takes a spectrum whose m != 0 coefficients are all exactly
+  0 the same way, to one column repeated over phi.  The m = 0 table is
+  filled by the slabs' recurrence restricted to order 0, so it is
+  bitwise slab 0's columns 0..L, and zonal work never builds the
+  paired-m slabs: at 256x512, L = 254 those are 34 MB and the m = 0
+  table 0.26 MB.  Both skip the FFT, the lanes and the slab product.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResolutionError
-from .grid import ScalarField, SphericalGrid
+from .grid import ScalarField, SphericalGrid, _is_zonal
 
 SQRT2 = np.sqrt(2.0)
 
@@ -112,6 +115,38 @@ class HarmonicSpectrum:
         return float(self.coeff[flat_index(l, m)])
 
 
+def _legendre_offsets(grid: SphericalGrid, L: int, orders: int):
+    """The one normalized recurrence: for each offset d = l - m = 0..L,
+    yield p_{m+d,m} at the northern GL nodes, one row per order
+    m < min(orders, L + 1 - d), every order at once.
+
+    p_mm comes from the sequential product in m, p_{m+1,m} from
+    sqrt(2m+3) x p_mm, and each later offset from the three-term step.
+    orders = L + 1 fills the slabs, orders = 1 the m = 0 table; each row
+    is computed elementwise, so it does not depend on orders bitwise.
+    """
+    h = (grid.n_theta + 1) // 2
+    x, s = grid.cos_theta[:h], np.sin(grid.theta[:h])
+    pmm = np.empty((orders, h))
+    pmm[0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for m in range(orders - 1):
+        pmm[m + 1] = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * pmm[m]
+    yield pmm
+    n = min(orders, L)
+    p_prev, p_cur = pmm, np.sqrt(2.0 * np.arange(n) + 3.0)[:, None] * x * pmm[:n]
+    if L >= 1:
+        yield p_cur
+    for d in range(2, L + 1):
+        n = min(orders, L + 1 - d)
+        m = np.arange(n)
+        l = m + d
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
+                    / ((2.0 * l - 3.0) * (l * l - m * m)))
+        p_prev, p_cur = p_cur, a[:, None] * x * p_cur[:n] - b[:, None] * p_prev[:n]
+        yield p_cur
+
+
 @lru_cache(maxsize=16)
 def _legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
     """p_{l,m}(x_j) at the northern GL nodes, packed in paired-m slabs.
@@ -123,28 +158,30 @@ def _legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
     on a cache miss only, since a cached (grid, L) has passed it.
     """
     _check_degree(grid, L)
-    h = (grid.n_theta + 1) // 2
-    x, s = grid.cos_theta[:h], np.sin(grid.theta[:h])
     *_, slab_m, col_m = _slab_index(L)
-    slabs = np.zeros((L // 2 + 1, h, L + 2))
-    pmm = np.empty((L + 1, h))
-    pmm[0] = 1.0 / np.sqrt(4.0 * np.pi)
-    for m in range(L):
-        pmm[m + 1] = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * pmm[m]
-    p_prev, p_cur = pmm, np.sqrt(2.0 * np.arange(L) + 3.0)[:, None] * x * pmm[:L]
-    slabs[slab_m, :, col_m] = pmm
-    slabs[slab_m[:L], :, col_m[:L] + 1] = p_cur
-    for d in range(2, L + 1):
-        n = L + 1 - d
-        m = np.arange(n)
-        l = m + d
-        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = np.sqrt(((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m))
-                    / ((2.0 * l - 3.0) * (l * l - m * m)))
-        p_prev, p_cur = p_cur, a[:, None] * x * p_cur[:n] - b[:, None] * p_prev[:n]
-        slabs[slab_m[:n], :, col_m[:n] + d] = p_cur
+    slabs = np.zeros((L // 2 + 1, (grid.n_theta + 1) // 2, L + 2))
+    for d, p in enumerate(_legendre_offsets(grid, L, L + 1)):
+        slabs[slab_m[:len(p)], :, col_m[:len(p)] + d] = p
     slabs.setflags(write=False)
     return slabs
+
+
+@lru_cache(maxsize=16)
+def _zonal_table(grid: SphericalGrid, L: int) -> np.ndarray:
+    """p_{l,0}(x_j) at the northern GL nodes, shape (ceil(n_theta/2), L + 1):
+    the m = 0 rows of _legendre_offsets, bitwise slab 0's columns 0..L.
+
+    The array is allocated L + 2 wide and sliced, so it has slab 0's row
+    stride: a contiguous (h, L + 1) array sends the parity products of
+    analyze and synthesize down another matmul path, which moves bits.
+    """
+    _check_degree(grid, L)
+    p0 = np.zeros(((grid.n_theta + 1) // 2, L + 2))
+    for l, p in enumerate(_legendre_offsets(grid, L, 1)):
+        p0[:, l] = p[0]
+    p0 = p0[:, : L + 1]
+    p0.setflags(write=False)
+    return p0
 
 
 @lru_cache(maxsize=16)
@@ -194,24 +231,24 @@ def _check_degree(grid: SphericalGrid, L: int):
 def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
     """Project a field onto harmonics up to degree L: c_lm = integrate(f*Y_lm)."""
     grid = f.grid
-    slabs = _legendre_tables(grid, L)
-    flat, scale, pair_m, _, zonal, *_ = _slab_index(L)
-    nh, h = grid.n_theta // 2, slabs.shape[1]
-    v = f.values
-    # one column first, so a non-zonal field is turned away cheaply
-    if (v[:, 1] == v[:, 0]).all() and (v == v[:, :1]).all():
+    _check_degree(grid, L)
+    nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
+    if _is_zonal(f.values):
         # the phi sum of a constant row is n_phi at m = 0 and 0 at every
         # 0 < m < n_phi, so only m = 0 is left
-        col = grid.n_phi * grid.weight * v[:, 0]
+        col = grid.n_phi * grid.weight * f.values[:, 0]
         even, odd = col[:h].copy(), col[:h].copy()
         even[:nh] += col[::-1][:nh]
         odd[:nh] -= col[::-1][:nh]
-        p = slabs[0, :, : L + 1]
+        p = _zonal_table(grid, L)
+        zonal = _slab_index(L)[4]
         coeff = np.zeros((L + 1) ** 2)
         coeff[zonal[0::2]] = even @ p[:, 0::2]
         coeff[zonal[1::2]] = odd @ p[:, 1::2]
         return HarmonicSpectrum(L=L, coeff=coeff)
 
+    slabs = _legendre_tables(grid, L)
+    flat, scale, pair_m, *_ = _slab_index(L)
     # (re, im) of sum_k w_j f_jk e^{-i m phi_k}: the weighted cos and -sin
     # sums (grid.weight already carries the 2*pi/n_phi of the phi rule)
     a = (np.fft.rfft(f.values, axis=1)[:, : L + 1].view(float)
@@ -230,19 +267,20 @@ def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
 def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     """Evaluate sum_lm c_lm Y_lm at every grid node."""
     L = s.L
-    slabs = _legendre_tables(grid, L)
+    _check_degree(grid, L)
+    n, nh, h = grid.n_theta, grid.n_theta // 2, (grid.n_theta + 1) // 2
     flat, scale, _, group_m, zonal, *_ = _slab_index(L)
-    n, nh, h = grid.n_theta, grid.n_theta // 2, slabs.shape[1]
     c0 = s.coeff[zonal]
     if np.count_nonzero(s.coeff) == np.count_nonzero(c0):
         # every m != 0 coefficient is 0: one column, repeated over phi
-        p = slabs[0, :, : L + 1]
+        p = _zonal_table(grid, L)
         even, odd = p[:, 0::2] @ c0[0::2], p[:, 1::2] @ c0[1::2]
         col = np.empty(n)
         col[:h] = even + odd
         col[::-1][:nh] = (even - odd)[:nh]
         return ScalarField(grid, np.broadcast_to(col[:, None], (n, grid.n_phi)))
 
+    slabs = _legendre_tables(grid, L)
     # lanes hold c_{l,m} / sqrt 2 and -c_{l,-m} / sqrt 2 (c_{l,0} as is),
     # so the sums come out as irfft's F[:, m] = (g_c - i g_s) / sqrt 2
     lanes = np.zeros((slabs.shape[0], 8, L + 2))

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import conformal, harmonics
 from .errors import RangeOverflowError
-from .functional import _exp2u, _report, _residual
+from .functional import _exp2u, _log_avg_exp, _report, _residual
 from .grid import FOUR_PI, ScalarField, build_grid
 from .io import read_field
 
@@ -140,11 +140,12 @@ class _Workspace:
         spec = harmonics.HarmonicSpectrum(L=self.L, coeff=coeff)
         u = harmonics.synthesize(spec, self.grid).values
         try:
-            e2u, mass, moments, log_avg_exp = _exp2u(self.grid, u)
+            e2u, mass, moments = _exp2u(self.grid, u)
         except RangeOverflowError:
             return u, None, None
         return u, e2u, _report(harmonics.dirichlet_energy(spec) / FOUR_PI, 0.0,
-                               log_avg_exp, mass, moments, eps=self.config.eps)
+                               _log_avg_exp(self.grid, u, mass), mass, moments,
+                               eps=self.config.eps)
 
     def objective(self, st: tuple, lam: np.ndarray, mu: float) -> float:
         """I_eps plus the augmented-Lagrangian moment terms."""

@@ -10,7 +10,8 @@ from sphere_mt import (FOUR_PI, HarmonicSpectrum, MobiusMap, ResolutionError,
                        integrate, laplacian, max_bubble_t, max_degree,
                        mobius_factor, mobius_pullback, planar_bubble,
                        synthesize)
-from sphere_mt.conformal import NORTH, SOUTH, mobius_point_map
+from sphere_mt import conformal
+from sphere_mt.conformal import NORTH, SOUTH, _meridian_spline, mobius_point_map
 
 from _oracles import evaluate_at_points, pair_energy, single_bubble_energy
 
@@ -226,13 +227,43 @@ def test_off_axis_pullback_matches_scattered_evaluation(grid_default):
                 assert np.max(np.abs(tu.values - scattered_pullback(f, m))) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(64, 128), (65, 130)])
+def test_zonal_axis_pullback_fits_one_column(shape, monkeypatch):
+    # a zonal field is fitted on its first column alone and broadcast;
+    # that equals the fit of all its identical columns bitwise
+    grid = build_grid(*shape)
+    fits = []
+
+    def spy(g, vals):
+        fits.append(vals.shape[1])
+        return _meridian_spline(g, vals)
+
+    monkeypatch.setattr(conformal, "_meridian_spline", spy)
+    for u in (constant_field(grid, 0.0), bubble_pair(2.0, grid).field):
+        for pole in (NORTH, SOUTH):
+            for t in (1.5, 2.0, grid.n_theta / 8):
+                m = MobiusMap(pole, t)
+                z = np.clip(mobius_point_map(m, grid.xyz[:, 0])[:, 2], -1.0, 1.0)
+                full = (_meridian_spline(grid, u.values)(np.arccos(z))
+                        + mobius_factor(m, grid).values)
+                assert np.array_equal(mobius_pullback(u, m).values, full)
+    assert fits == [1] * 12
+    # a field that varies in phi still takes the fit of every column
+    fits.clear()
+    f = synthesize_random(grid, L=8, scale=0.3, seed=grid.n_theta)
+    mobius_pullback(f, MobiusMap(NORTH, 2.0))
+    assert fits == [grid.n_phi]
+
+
 def test_pullback_requires_even_n_phi():
-    # the half-turn across the poles is a column roll on both paths
+    # the half-turn across the poles is a column roll on both paths; u = 0
+    # is zonal, so on the axis pole it checks the one-column fit too
     grid = build_grid(16, 33)
-    f = constant_field(grid, 0.0)
-    for pole in (NORTH, np.array([1.0, 2.0, 2.0]) / 3.0):
-        with pytest.raises(ResolutionError, match="requires even n_phi"):
-            mobius_pullback(f, MobiusMap(pole, 2.0))
+    for f in (constant_field(grid, 0.0),
+              ScalarField(grid, grid.xyz[:, :, 0])):
+        for pole in (NORTH, np.array([1.0, 2.0, 2.0]) / 3.0):
+            with pytest.raises(ResolutionError, match="requires even n_phi"):
+                mobius_pullback(f, MobiusMap(pole, 2.0))
 
 
 @st.composite

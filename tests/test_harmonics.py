@@ -9,7 +9,7 @@ from scipy.special import sph_legendre_p, sph_legendre_p_all
 from sphere_mt import (FOUR_PI, HarmonicSpectrum, ResolutionError,
                        ScalarField, analyze, build_grid, dirichlet_energy,
                        integrate, laplacian, max_degree, synthesize)
-from sphere_mt.harmonics import _legendre_tables, flat_index
+from sphere_mt.harmonics import _legendre_tables, _zonal_table, flat_index
 from sphere_mt.conformal import MobiusMap, NORTH, mobius_factor
 
 from _oracles import evaluate_at_points
@@ -179,11 +179,24 @@ def test_dirichlet_energy_properties(grid_default):
 
 
 def test_anti_aliasing_bound(grid_small):
+    # the degree is checked first, on the zonal and the general path alike
     assert max_degree(grid_small) == 22
+    zonal = ScalarField(grid_small, np.zeros((24, 48)))
+    general = ScalarField(grid_small, grid_small.xyz[:, :, 0])
+    for f in (zonal, general):
+        with pytest.raises(ResolutionError):
+            analyze(f, 23)
+        with pytest.raises(ValueError, match="non-negative"):
+            analyze(f, -1)
+    c = np.zeros(576)
     with pytest.raises(ResolutionError):
-        analyze(ScalarField(grid_small, np.zeros((24, 48))), 23)
+        synthesize(HarmonicSpectrum(L=23, coeff=c), grid_small)
+    c[flat_index(1, 1)] = 1.0
     with pytest.raises(ResolutionError):
-        synthesize(HarmonicSpectrum(L=23, coeff=np.zeros(576)), grid_small)
+        synthesize(HarmonicSpectrum(L=23, coeff=c), grid_small)
+    # L = -1 has no coefficients, so its spectrum is zonal
+    with pytest.raises(ValueError, match="non-negative"):
+        synthesize(HarmonicSpectrum(L=-1, coeff=np.zeros(0)), grid_small)
 
 
 def test_high_degree_synthesis_matches_scipy_oracle(grid_hires):
@@ -375,3 +388,61 @@ def test_zonal_and_general_paths_agree(shape):
     c[flat_index(1, 1)] += 1e-300
     general = synthesize(HarmonicSpectrum(L=L, coeff=c), grid)
     assert np.max(np.abs(general.values - f.values)) <= 1e-13
+
+
+def slab0_sums(grid, L, col=None, c0=None):
+    # the zonal analysis (col) or synthesis (c0) sums taken on slab 0 of
+    # the paired-m table, as the zonal paths read them before the m = 0
+    # table existed
+    p = _legendre_tables(grid, L)[0, :, : L + 1]
+    nh, h = grid.n_theta // 2, p.shape[0]
+    if col is not None:
+        even, odd = col[:h].copy(), col[:h].copy()
+        even[:nh] += col[::-1][:nh]
+        odd[:nh] -= col[::-1][:nh]
+        return even @ p[:, 0::2], odd @ p[:, 1::2]
+    even, odd = p[:, 0::2] @ c0[0::2], p[:, 1::2] @ c0[1::2]
+    out = np.empty(grid.n_theta)
+    out[:h] = even + odd
+    out[::-1][:nh] = (even - odd)[:nh]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(64, 128), (65, 130), (9, 4)])
+def test_zonal_paths_read_the_slab_zero_sums_bitwise(shape):
+    # the m = 0 table is slab 0's columns 0..L, with slab 0's row stride,
+    # so the zonal paths give bitwise what they gave on slab 0
+    grid = build_grid(*shape)
+    rng = np.random.default_rng(shape[0])
+    for L in sorted({0, 1, 2, max_degree(grid)}):
+        if L > max_degree(grid):
+            continue
+        assert np.array_equal(_zonal_table(grid, L),
+                              _legendre_tables(grid, L)[0, :, : L + 1])
+        l = np.arange(L + 1)
+        c = np.zeros((L + 1) ** 2)
+        c[flat_index(l, 0)] = rng.uniform(-1.0, 1.0, L + 1)
+        f = synthesize(HarmonicSpectrum(L=L, coeff=c), grid)
+        assert np.array_equal(f.values[:, 0],
+                              slab0_sums(grid, L, c0=c[flat_index(l, 0)]))
+        # a contiguous table would move the L = 0 analysis bits on about
+        # half of all columns, so eight are drawn
+        for col in rng.uniform(-1.0, 1.0, (8, grid.n_theta)):
+            f = ScalarField(grid, np.repeat(col[:, None], grid.n_phi, 1))
+            back = analyze(f, L)
+            even, odd = slab0_sums(grid, L, col=grid.n_phi * grid.weight * col)
+            assert np.array_equal(back.coeff[flat_index(l[0::2], 0)], even)
+            assert np.array_equal(back.coeff[flat_index(l[1::2], 0)], odd)
+
+
+def test_zonal_work_never_builds_the_paired_m_table():
+    # a fresh grid (a new identity, so nothing is cached for it) sees a
+    # zonal field and a zonal spectrum; _legendre_tables then still has
+    # no entry for it, so the call after them is a miss
+    grid = dataclasses.replace(build_grid(64, 128))
+    L = max_degree(grid)
+    w = mobius_factor(MobiusMap(NORTH, 2.0), grid)
+    synthesize(analyze(w, L), grid)
+    misses = _legendre_tables.cache_info().misses
+    _legendre_tables(grid, L)
+    assert _legendre_tables.cache_info().misses == misses + 1
