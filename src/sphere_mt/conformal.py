@@ -188,18 +188,20 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
     _check_t(grid, map.t)
     if map.is_identity:
         return u
-    w = mobius_factor(map, grid).values
     if map.on_axis:
         z = np.clip(mobius_point_map(map, grid.xyz[:, 0])[:, 2], -1.0, 1.0)
         vals = u.values[:, :1] if _is_zonal(u.values) else u.values
-        # an axis factor is constant in phi, so it adds on one column
-        tu = _meridian_spline(grid, vals)(np.arccos(z)) + w[:, :1]
+        composed = _meridian_spline(grid, vals)(np.arccos(z))
     else:
         target = mobius_point_map(map, grid.xyz)
         z = np.clip(target[:, :, 2], -1.0, 1.0)
         theta_p = np.arccos(z)
         phi_p = np.mod(np.arctan2(target[:, :, 1], target[:, :, 0]), 2.0 * np.pi)
-        tu = _tensor_spline(u)(np.stack((theta_p, phi_p), axis=-1)) + w
+        composed = _tensor_spline(u)(np.stack((theta_p, phi_p), axis=-1))
+    # taken after the fit, so it is not held through the fit's peak; an
+    # axis factor is constant in phi, so it adds on one column
+    w = mobius_factor(map, grid).values
+    tu = composed + (w[:, :1] if map.on_axis else w)
     return ScalarField(grid, np.broadcast_to(tu, w.shape))
 
 

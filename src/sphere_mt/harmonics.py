@@ -232,6 +232,7 @@ def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
     """Project a field onto harmonics up to degree L: c_lm = integrate(f*Y_lm)."""
     grid = f.grid
     _check_degree(grid, L)
+    flat, scale, pair_m, _, zonal, *_ = _slab_index(L)
     nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
     if _is_zonal(f.values):
         # the phi sum of a constant row is n_phi at m = 0 and 0 at every
@@ -241,14 +242,12 @@ def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
         even[:nh] += col[::-1][:nh]
         odd[:nh] -= col[::-1][:nh]
         p = _zonal_table(grid, L)
-        zonal = _slab_index(L)[4]
         coeff = np.zeros((L + 1) ** 2)
         coeff[zonal[0::2]] = even @ p[:, 0::2]
         coeff[zonal[1::2]] = odd @ p[:, 1::2]
         return HarmonicSpectrum(L=L, coeff=coeff)
 
     slabs = _legendre_tables(grid, L)
-    flat, scale, pair_m, *_ = _slab_index(L)
     # (re, im) of sum_k w_j f_jk e^{-i m phi_k}: the weighted cos and -sin
     # sums (grid.weight already carries the 2*pi/n_phi of the phi rule)
     a = (np.fft.rfft(f.values, axis=1)[:, : L + 1].view(float)
