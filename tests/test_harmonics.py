@@ -390,17 +390,20 @@ def test_zonal_and_general_paths_agree(shape):
     assert np.max(np.abs(general.values - f.values)) <= 1e-13
 
 
-def slab0_sums(grid, L, col=None, c0=None):
-    # the zonal analysis (col) or synthesis (c0) sums taken on slab 0 of
-    # the paired-m table, as the zonal paths read them before the m = 0
-    # table existed
+# the zonal sums taken on slab 0 of the paired-m table, as the zonal
+# paths read them before the m = 0 table existed
+def slab0_analysis(grid, L, col):
     p = _legendre_tables(grid, L)[0, :, : L + 1]
     nh, h = grid.n_theta // 2, p.shape[0]
-    if col is not None:
-        even, odd = col[:h].copy(), col[:h].copy()
-        even[:nh] += col[::-1][:nh]
-        odd[:nh] -= col[::-1][:nh]
-        return even @ p[:, 0::2], odd @ p[:, 1::2]
+    even, odd = col[:h].copy(), col[:h].copy()
+    even[:nh] += col[::-1][:nh]
+    odd[:nh] -= col[::-1][:nh]
+    return even @ p[:, 0::2], odd @ p[:, 1::2]
+
+
+def slab0_synthesis(grid, L, c0):
+    p = _legendre_tables(grid, L)[0, :, : L + 1]
+    nh, h = grid.n_theta // 2, p.shape[0]
     even, odd = p[:, 0::2] @ c0[0::2], p[:, 1::2] @ c0[1::2]
     out = np.empty(grid.n_theta)
     out[:h] = even + odd
@@ -424,13 +427,13 @@ def test_zonal_paths_read_the_slab_zero_sums_bitwise(shape):
         c[flat_index(l, 0)] = rng.uniform(-1.0, 1.0, L + 1)
         f = synthesize(HarmonicSpectrum(L=L, coeff=c), grid)
         assert np.array_equal(f.values[:, 0],
-                              slab0_sums(grid, L, c0=c[flat_index(l, 0)]))
+                              slab0_synthesis(grid, L, c[flat_index(l, 0)]))
         # a contiguous table would move the L = 0 analysis bits on about
         # half of all columns, so eight are drawn
         for col in rng.uniform(-1.0, 1.0, (8, grid.n_theta)):
             f = ScalarField(grid, np.repeat(col[:, None], grid.n_phi, 1))
             back = analyze(f, L)
-            even, odd = slab0_sums(grid, L, col=grid.n_phi * grid.weight * col)
+            even, odd = slab0_analysis(grid, L, grid.n_phi * grid.weight * col)
             assert np.array_equal(back.coeff[flat_index(l[0::2], 0)], even)
             assert np.array_equal(back.coeff[flat_index(l[1::2], 0)], odd)
 
