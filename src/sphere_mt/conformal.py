@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResolutionError
-from .grid import ScalarField, SphericalGrid, _is_zonal
+from .grid import ScalarField, SphericalGrid, _column
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -175,9 +175,9 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
     own meridian: phi' = phi, and theta' depends on theta alone.  At the
     grid's own longitudes the phi factor reproduces its data, so the
     tensor spline there is the meridian spline, and an axis pole
-    evaluates that at theta' directly.  If u is also zonal (every row
-    equal to its first column bitwise, as bubble pairs, axis-pole
-    factors and u = 0 are), all its columns and their half-turns are one
+    evaluates that at theta' directly.  If u is also zonal (stored as a
+    broadcast column, as bubble pairs, axis-pole factors and u = 0
+    are; see ScalarField), all its columns and their half-turns are one
     column, so the axis pole fits and evaluates that column alone and
     broadcasts it over phi: bitwise the fit of every column.  At 256x512
     (one BLAS thread, 2 shared vCPUs) an axis-pole pullback takes about
@@ -190,8 +190,7 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
         return u
     if map.on_axis:
         z = np.clip(mobius_point_map(map, grid.xyz[:, 0])[:, 2], -1.0, 1.0)
-        vals = u.values[:, :1] if _is_zonal(u.values) else u.values
-        composed = _meridian_spline(grid, vals)(np.arccos(z))
+        composed = _meridian_spline(grid, _column(u.values))(np.arccos(z))
     else:
         target = mobius_point_map(map, grid.xyz)
         z = np.clip(target[:, :, 2], -1.0, 1.0)
@@ -221,15 +220,18 @@ def bubble_pair(t: float, grid: SphericalGrid) -> BubblePairField:
     """Superpose conformal factors at the two poles.
 
     The moments cancel to roundoff on antipodal nodes: n_phi is even,
-    and every SphericalGrid is mirror-symmetric in cos(theta).
+    and every SphericalGrid is mirror-symmetric in cos(theta).  Both
+    axis factors are zonal, so their columns are added and the sum
+    broadcast over phi: the field costs one column.
     """
     _check_t(grid, t)
     if grid.n_phi % 2 != 0:
         raise ResolutionError("bubble_pair requires even n_phi for exact "
                               "antipodal node remapping")
-    north = mobius_factor(MobiusMap(NORTH, t), grid)
-    south = mobius_factor(MobiusMap(SOUTH, t), grid)
-    return BubblePairField(t=float(t), field=ScalarField(grid, north.values + south.values))
+    north = mobius_factor(MobiusMap(NORTH, t), grid).values
+    south = mobius_factor(MobiusMap(SOUTH, t), grid).values
+    pair = np.broadcast_to(north[:, :1] + south[:, :1], north.shape)
+    return BubblePairField(t=float(t), field=ScalarField(grid, pair))
 
 
 def planar_bubble(x) -> np.ndarray | float:

@@ -12,9 +12,15 @@ moments of one field, two Laplacians), and the closed-form/numeric
 pieces of the two-point concentration energy expansion.
 
 One private kernel, _exp2u, gives evaluate, the EL residual, the
-gradient, kazdan_warner_residual and the optimizer every exp(2u)
-integral; beside it, _log_avg_exp gives the functionals (evaluate and
-the optimizer) a log-average accurate at both ends of the mass.  One
+gradient and the optimizer every exp(2u) integral; beside it,
+_log_avg_exp gives the functionals (evaluate and the optimizer) a
+log-average accurate at both ends of the mass.  Both take exp(2u) from
+_exp2, the one overflow guard, which kazdan_warner_residual and the
+CLI's conformal checks call for exp(2u) alone.  A zonal u (stored by
+ScalarField as a broadcast column) is exponentiated on its column, and
+its mass, z moment and log-average are row sums of broadcasts, bitwise
+those of the full grid; the x and y moments keep their full products,
+since they are roundoff, not 0, and zeroing them would move bits.  One
 private constructor, _report, writes out J, I, the shifted I, I_alpha,
 I_eps and the normalized moments for evaluate and the optimizer; beside
 it, _residual forms the EL residual, its norm, zero-integral check and
@@ -32,7 +38,8 @@ import numpy as np
 from . import harmonics
 from .conformal import bubble_mass
 from .errors import InvariantViolation, RangeOverflowError
-from .grid import FOUR_PI, ScalarField, SphericalGrid, average, integrate_values
+from .grid import (FOUR_PI, ScalarField, SphericalGrid, _column, average,
+                   integrate_values)
 
 #: exp argument ceiling; doubles overflow near 709.78
 EXP_LIMIT = 700.0
@@ -41,23 +48,37 @@ EXP_LIMIT = 700.0
 OBSTRUCTION_CONSTANT = 1.0 - np.log(2.0)
 
 
+def _exp2(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
+    """exp(2u) behind the overflow guard (RangeOverflowError above
+    EXP_LIMIT).  A zonal u, or its column, is exponentiated on that
+    column and broadcast over the grid."""
+    col = _column(u)
+    two_u = 2.0 * col
+    if float(two_u.max()) > EXP_LIMIT:
+        jt, jp = np.unravel_index(int(np.argmax(col)), col.shape)
+        raise RangeOverflowError(
+            f"exp(2u) overflows: max u = {col.max():.6g} at node "
+            f"(theta={grid.theta[jt]:.6f}, phi={grid.phi[jp]:.6f})",
+            max_value=col.max(), node=(int(jt), int(jp)))
+    e2u = np.exp(two_u)
+    return (np.broadcast_to(e2u, (grid.n_theta, grid.n_phi))
+            if e2u.shape[1] == 1 else e2u)
+
+
 def _exp2u(grid: SphericalGrid, u: np.ndarray):
     """The one exp(2u) kernel: (e2u, mass, moments), with
-    moments_i = int exp(2u) x_i."""
-    two_u = 2.0 * u
-    peak = float(two_u.max())
-    if peak > EXP_LIMIT:
-        j = int(np.argmax(u))
-        jt, jp = np.unravel_index(j, u.shape)
-        raise RangeOverflowError(
-            f"exp(2u) overflows: max u = {u.max():.6g} at node "
-            f"(theta={grid.theta[jt]:.6f}, phi={grid.phi[jp]:.6f})",
-            max_value=u.max(), node=(int(jt), int(jp)))
-    e2u = np.exp(two_u)
-    mass = integrate_values(grid, e2u)
-    moments = np.array([integrate_values(grid, e2u * grid.xyz[:, :, i])
-                        for i in range(3)])
-    return e2u, mass, moments
+    moments_i = int exp(2u) x_i.
+
+    On a zonal u, e2u is a broadcast column, and mass and the z moment
+    (z too is constant in phi) take one column's products; the x and y
+    moments keep their full products.
+    """
+    e2u = _exp2(grid, u)
+    ez = np.broadcast_to(_column(e2u) * grid.xyz[:, :1, 2], e2u.shape)
+    moments = np.array([integrate_values(grid, e2u * grid.xyz[:, :, 0]),
+                        integrate_values(grid, e2u * grid.xyz[:, :, 1]),
+                        integrate_values(grid, ez)])
+    return e2u, integrate_values(grid, e2u), moments
 
 
 def _log_avg_exp(grid: SphericalGrid, u: np.ndarray, mass: float) -> float:
@@ -67,11 +88,12 @@ def _log_avg_exp(grid: SphericalGrid, u: np.ndarray, mass: float) -> float:
     ln(mass / 4 pi) has only ~1e-16 absolute accuracy.  Below 2 pi it is
     ln(mass / 4 pi): where exp(2u) << 1, expm1(2u) rounds to -1 and the
     excess mass cancels.  Only the functionals need it (evaluate and the
-    optimizer's state), so the residuals skip its expm1 pass.
+    optimizer's state), so the residuals skip its expm1 pass, which a
+    zonal u takes on its column.
     """
     if mass >= 0.5 * FOUR_PI:
-        return float(np.log1p(
-            integrate_values(grid, np.expm1(2.0 * u)) / FOUR_PI))
+        em1 = np.broadcast_to(np.expm1(2.0 * _column(u)), u.shape)
+        return float(np.log1p(integrate_values(grid, em1) / FOUR_PI))
     return float(np.log(mass / FOUR_PI))
 
 
@@ -216,7 +238,7 @@ def kazdan_warner_residual(v: ScalarField, h: ScalarField, c: float) -> np.ndarr
     exactly, x_i being of degree 1.
     """
     grid = v.grid
-    ev = _exp2u(grid, 0.5 * v.values)[0]
+    ev = _exp2(grid, 0.5 * _column(v.values))
     q = (0.5 * (h.values * _laplacian_values(ScalarField(grid, ev))
                 - ev * _laplacian_values(h)) + (c - 1.0) * h.values * ev)
     return np.array([integrate_values(grid, q * grid.xyz[:, :, i])

@@ -18,6 +18,12 @@ where x = cos(theta) is close to 1, and costs O(n) per Newton step.
 Grids compare and hash by identity, so a cache keyed by a grid never
 serves it the entries of another grid of the same shape, and a grid
 checks its mirror symmetry once, when it is built (see SphericalGrid).
+
+A zonal field (constant in phi, as bubble pairs, axis-pole factors, the
+Green field and u = 0 are) is stored as one column broadcast over phi,
+so building it and the work on it cost one column (see ScalarField).
+Reduce field values only through integrate_values: its row sums along
+phi are bitwise those of the full array, a whole-array sum is not.
 """
 
 from __future__ import annotations
@@ -192,6 +198,16 @@ class ScalarField:
     values must have shape (n_theta, n_phi) exactly (GridSizeError
     otherwise; nothing is reshaped) and be finite everywhere; the
     constructor rejects NaN/Inf so no downstream operation ever sees one.
+
+    The constructor alone decides whether the field is zonal: the input
+    is a stride-0 broadcast over phi, or every row equals its first
+    column bitwise (column 1 is compared first, so a non-zonal field is
+    turned away after one column).  A zonal field is stored as a
+    read-only broadcast of its own copy of column 0, so values has
+    stride 0 along phi and _is_zonal is a stride test; any other field
+    is stored as a read-only contiguous copy.  Elementwise work on a
+    broadcast allocates the full grid, so zonal kernels take the column
+    values[:, :1], and reduce only through integrate_values.
     """
 
     grid: SphericalGrid
@@ -203,13 +219,16 @@ class ScalarField:
         if vals.shape != expected:
             raise GridSizeError(
                 f"field shape {vals.shape} does not match grid {expected}")
-        if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))[0]
+        zonal = vals.strides[1] == 0 or bool(
+            (vals[:, 1] == vals[:, 0]).all() and (vals == vals[:, :1]).all())
+        own = (vals[:, :1] if zonal else vals).copy()
+        if not np.all(np.isfinite(own)):
+            bad = np.argwhere(~np.isfinite(own))[0]
             raise NonFiniteFieldError(
                 f"non-finite sample at node (theta_idx={bad[0]}, phi_idx={bad[1]})")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        own.setflags(write=False)
+        object.__setattr__(self, "values",
+                           np.broadcast_to(own, expected) if zonal else own)
 
     def max(self) -> float:
         return float(self.values.max())
@@ -219,11 +238,14 @@ class ScalarField:
 
 
 def _is_zonal(values: np.ndarray) -> bool:
-    """Every row equal to its first column, bitwise: the field does not
-    vary in phi.  Column 1 is compared first, so a non-zonal field is
-    turned away after one column."""
-    return bool((values[:, 1] == values[:, 0]).all()
-                and (values == values[:, :1]).all())
+    """A zonal ScalarField's values: stride 0 along phi, which is how the
+    constructor stores a field constant in phi."""
+    return values.strides[1] == 0
+
+
+def _column(values: np.ndarray) -> np.ndarray:
+    """The (n_theta, 1) column of zonal values, else values as they are."""
+    return values[:, :1] if _is_zonal(values) else values
 
 
 def constant_field(grid: SphericalGrid, value: float = 0.0) -> ScalarField:
@@ -241,6 +263,10 @@ def average(f: ScalarField) -> float:
 
 
 def integrate_values(grid: SphericalGrid, values: np.ndarray) -> float:
-    """integrate() for a raw (n_theta, n_phi) array; no finiteness check."""
+    """integrate() for a raw (n_theta, n_phi) array; no finiteness check.
+
+    It sums each row along phi, which gives a zonal broadcast the bits of
+    its contiguous copy (tests/test_functional.py pins this).
+    """
     return float(np.dot(grid.weight, values.sum(axis=1)))
 

@@ -42,12 +42,13 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   as fast as a (rows x nodes)(nodes x 8) one.
 * Zonal fields.  The bubble pairs, axis-pole Moebius factors and their
   pullbacks, the two-pole Green function and u = 0 are axisymmetric,
-  so their rows are constant in phi.  analyze takes such a field (every
-  row equal to its first column bitwise) through m = 0 alone: one
+  so their rows are constant in phi, and ScalarField stores them as
+  one column broadcast over phi (stride 0, the O(1) test _is_zonal).
+  analyze takes such a field through m = 0 alone: one
   parity-folded Gauss-Legendre sum against a cached table of p_{l,0}
   at the northern nodes, with every m != 0 coefficient exactly 0.
   synthesize takes a spectrum whose m != 0 coefficients are all exactly
-  0 the same way, to one column repeated over phi.  The m = 0 table is
+  0 the same way, to one column broadcast over phi.  The m = 0 table is
   filled by the slabs' recurrence restricted to order 0, so it is
   bitwise slab 0's columns 0..L, and zonal work never builds the
   paired-m slabs: at 256x512, L = 254 those are 34 MB and the m = 0

@@ -129,7 +129,11 @@ def to_jsonable(obj):
             "max": to_jsonable(obj.values.max()),
         }
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
+        values = obj.tolist()
+        # one tolist() is the whole conversion unless an entry needs null
+        if obj.dtype.kind in "biuf" and np.isfinite(obj).all():
+            return values
+        return [to_jsonable(v) for v in values]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"type": type(obj).__name__}
         for f in dataclasses.fields(obj):

@@ -7,7 +7,9 @@ from sphere_mt import (FOUR_PI, HarmonicSpectrum, MobiusMap,
                        el_residual, energy_expansion_report, evaluate,
                        kazdan_warner_residual, l2_gradient, mobius_factor,
                        mobius_pullback, synthesize)
-from sphere_mt.conformal import NORTH
+from sphere_mt import green_two_pole, harmonics, max_bubble_t
+from sphere_mt.conformal import NORTH, SOUTH
+from sphere_mt.functional import _exp2u, _log_avg_exp
 
 from _oracles import pair_i_alpha
 
@@ -287,6 +289,100 @@ def test_kw_takes_two_max_degree_laplacians(grid_default, monkeypatch):
     kazdan_warner_residual(v, h, c=1.5)
     top = harmonics.max_degree(grid_default)
     assert calls == {"analyze": [top, top], "synthesize": [top, top]}
+
+
+# ------------------------------------------------- zonal column kernels
+
+def full_storage(f):
+    """f with its values held as a contiguous copy of the whole grid, as
+    every field was before zonal fields were stored as one column, so
+    every functional kernel takes its full-grid path."""
+    full = ScalarField(f.grid, f.values)
+    object.__setattr__(full, "values", np.ascontiguousarray(f.values))
+    return full
+
+
+def bits(*xs):
+    return [np.ascontiguousarray(x, dtype=float).tobytes() for x in xs]
+
+
+def zonal_fields(grid):
+    t = min(2.5, max_bubble_t(grid))
+    rng = np.random.default_rng(grid.n_theta)
+    column = 0.5 * rng.standard_normal((grid.n_theta, 1))
+    fields = {"w_north": mobius_factor(MobiusMap(NORTH, t), grid),
+              "w_south": mobius_factor(MobiusMap(SOUTH, t), grid),
+              "green": green_two_pole(grid),
+              "constant": constant_field(grid, 0.37),
+              "random_column": ScalarField(
+                  grid, np.repeat(column, grid.n_phi, axis=1))}
+    if grid.n_phi % 2 == 0:
+        fields["bubble_pair"] = bubble_pair(t, grid).field
+    return fields
+
+
+@pytest.mark.parametrize("shape", [(33, 64), (32, 65), (64, 4), (24576, 4)],
+                         ids=["odd_n_theta", "odd_n_phi", "64x4", "24576x4"])
+def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
+    # exp, expm1 and the z moment on one column, broadcast and summed by
+    # rows, give the bits of the full grid (also a tripwire for numpy)
+    grid = build_grid(*shape)
+    # the transforms take a full-grid copy through m = 0 as well, by the
+    # node-by-node test that found zonal fields before the stride test
+    monkeypatch.setattr(harmonics, "_is_zonal",
+                        lambda v: bool((v == v[:, :1]).all()))
+    h = green_two_pole(grid)
+    report_fields = ("avg_grad_sq", "avg_u", "log_avg_exp", "mass", "moments",
+                     "normalized_moments", "onofri_J", "improved_I",
+                     "shifted_I", "i_alpha", "i_eps")
+    branches = set()
+    for name, f in zonal_fields(grid).items():
+        # shifted down, the mass falls below 2 pi: the other log-average
+        shifted = np.broadcast_to(f.values[:, :1] - 1.5, f.values.shape)
+        for u in (f, ScalarField(grid, shifted)):
+            assert u.values.strides[1] == 0, name
+            full = full_storage(u)
+            e2u, mass, moments = _exp2u(grid, u.values)
+            ref = _exp2u(grid, full.values)
+            assert e2u.strides[1] == 0 and ref[0].strides[1] != 0
+            assert bits(e2u, mass, moments) == bits(*ref), name
+            branches.add(mass >= 2.0 * np.pi)
+            assert (bits(_log_avg_exp(grid, u.values, mass))
+                    == bits(_log_avg_exp(grid, full.values, mass))), name
+            got, want = (evaluate(v, alpha=0.5, eps=0.25) for v in (u, full))
+            assert (bits(*(getattr(got, k) for k in report_fields))
+                    == bits(*(getattr(want, k) for k in report_fields))), name
+            got, want = (el_residual(v, 0.25) for v in (u, full))
+            assert (bits(got.el_residual_field.values, got.el_residual_norm,
+                         got.kw_residual)
+                    == bits(want.el_residual_field.values,
+                            want.el_residual_norm, want.kw_residual)), name
+            assert (bits(kazdan_warner_residual(u, h, 1.3))
+                    == bits(kazdan_warner_residual(full, full_storage(h),
+                                                   1.3))), name
+    assert branches == {True, False}
+
+
+@pytest.mark.parametrize("n_phi", [4, 5, 127, 130, 512, 1024])
+def test_row_sums_of_a_broadcast_column_are_those_of_its_copy(n_phi):
+    # the property the zonal kernels rest on: numpy sums a stride-0 row
+    # as it sums the contiguous one (a whole-array sum does not), so
+    # integrate_values gives a broadcast the bits of its copy; and a
+    # ufunc on a column gives the bits it gives on the full grid
+    rng = np.random.default_rng(n_phi)
+    for n_theta in (2, 33, 256, 1025) + ((24576,) if n_phi < 8 else ()):
+        col = (rng.standard_normal((n_theta, 1))
+               * 10.0 ** rng.integers(-8, 9, (n_theta, 1)))
+        wide = np.broadcast_to(col, (n_theta, n_phi))
+        copy = np.ascontiguousarray(wide)
+        other = rng.standard_normal((n_theta, n_phi))
+        u = rng.standard_normal((n_theta, 1))
+        full_u = np.repeat(u, n_phi, axis=1)
+        for b, c in ((wide, copy), (wide * other, copy * other),
+                     (np.broadcast_to(np.exp(u), wide.shape), np.exp(full_u)),
+                     (np.broadcast_to(np.expm1(u), wide.shape),
+                      np.expm1(full_u))):
+            assert b.sum(axis=1).tobytes() == c.sum(axis=1).tobytes()
 
 
 # ------------------------------------------------------ energy expansion

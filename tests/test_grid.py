@@ -157,3 +157,60 @@ def test_fields_are_immutable(grid_small):
         f.values[0, 0] = 2.0
     with pytest.raises(ValueError):
         grid_small.weight[0] = 0.0
+
+
+def test_zonal_fields_are_stored_as_one_broadcast_column(grid_small):
+    # a field constant in phi, given contiguous or as a stride-0
+    # broadcast, is kept as a read-only broadcast of its own column
+    g = grid_small
+    shape = (g.n_theta, g.n_phi)
+    col = np.random.default_rng(3).standard_normal((g.n_theta, 1))
+    contiguous = np.repeat(col, g.n_phi, axis=1)
+    for given in (contiguous, np.broadcast_to(col, shape)):
+        f = ScalarField(g, given)
+        assert f.values.shape == shape and f.values.strides[1] == 0
+        assert not f.values.flags.writeable
+        assert not np.shares_memory(f.values, given)
+        assert np.array_equal(f.values, contiguous)
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 1.0
+    # the caller's array stays its own: changing it leaves the field be
+    contiguous[0, :] = 7.0
+    assert f.values[0, 0] == col[0, 0]
+
+
+def test_non_zonal_fields_are_stored_as_a_contiguous_copy(grid_small):
+    g = grid_small
+    vals = np.random.default_rng(4).standard_normal((g.n_theta, g.n_phi))
+    # equal in all but one node of the last column: the scan looks at
+    # every node, not just columns 0 and 1
+    near = np.repeat(vals[:, :1], g.n_phi, axis=1)
+    near[-1, -1] += 1.0
+    for given in (vals, vals.T.copy().T, near):
+        f = ScalarField(g, given)
+        assert f.values.flags.c_contiguous and f.values.strides[1] == 8
+        assert not f.values.flags.writeable
+        assert not np.shares_memory(f.values, given)
+        assert np.array_equal(f.values, given)
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_zonal_field_names_its_first_node(grid_small, bad):
+    # a whole row set to the bad value: the first non-finite node in
+    # row-major order is (row, 0), whether the field is stored as a
+    # column (inf rows are zonal; a nan row is zonal only as a
+    # broadcast) or as a full copy
+    g = grid_small
+    col = np.zeros((g.n_theta, 1))
+    col[5] = bad
+    for given in (np.repeat(col, g.n_phi, axis=1),
+                  np.broadcast_to(col, (g.n_theta, g.n_phi))):
+        with pytest.raises(NonFiniteFieldError,
+                           match=r"\(theta_idx=5, phi_idx=0\)"):
+            ScalarField(g, given)
+    vals = np.zeros((g.n_theta, g.n_phi))
+    vals[3, 5] = bad
+    with pytest.raises(NonFiniteFieldError, match=r"\(theta_idx=3, phi_idx=5\)"):
+        ScalarField(g, vals)

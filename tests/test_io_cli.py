@@ -34,6 +34,26 @@ def test_binary_round_trip_is_bit_exact(tmp_path, sample_field):
     assert np.array_equal(back.values, sample_field.values)
 
 
+def test_zonal_field_file_is_the_full_grid_and_reads_back_zonal(tmp_path):
+    # a zonal field is stored as a broadcast column, but its file holds
+    # every node, as a contiguous copy of the same values writes it
+    from sphere_mt import bubble_pair, constant_field, green_two_pole
+    from sphere_mt.io import _header
+    g = build_grid(24, 48)
+    for f in (bubble_pair(2.5, g).field, green_two_pole(g),
+              constant_field(g, -0.75)):
+        assert f.values.strides[1] == 0
+        path = tmp_path / "z.field.bin"
+        write_field(path, f, params={"t": 2.5})
+        payload = np.ascontiguousarray(f.values).astype("<f8").tobytes()
+        header = _header(f, {"t": 2.5}, hashlib.sha256(payload).hexdigest())
+        assert path.read_bytes() == (json.dumps(header, sort_keys=True)
+                                     .encode() + b"\n" + payload)
+        back = read_field(path)
+        assert back.values.strides[1] == 0
+        assert back.values.tobytes() == f.values.tobytes()
+
+
 def test_json_encoded_field_is_a_format_error(tmp_path, sample_field, capsys):
     # binary is the only FieldFile encoding: a header line that embeds the
     # values (numeric or not) and no payload is malformed input
@@ -195,6 +215,26 @@ def test_to_jsonable_handles_fields_and_arrays(grid_small):
     assert out["field"]["n_theta"] == 24
     assert out["arr"] == [0.0, 1.0, 2.0]
     assert out["nanval"] is None
+
+
+def test_to_jsonable_arrays_match_elementwise_conversion():
+    # a finite numeric array is one tolist(); any non-finite entry sends
+    # it through the per-entry path, which maps NaN and Inf to null
+    def elementwise(a):
+        return [to_jsonable(v) for v in a.tolist()]
+
+    rng = np.random.default_rng(8)
+    cases = [rng.standard_normal(289), np.arange(5), np.array([True, False]),
+             np.zeros(0), np.float32([0.1, 2.5]), np.array([-0.0, 5e-324]),
+             rng.standard_normal((3, 4)), np.array([1.0, np.nan, -np.inf]),
+             np.array([[1.5, np.inf], [2.0, 3.0]])]
+    for a in cases:
+        out = to_jsonable(a)
+        assert json.dumps(out) == json.dumps(elementwise(a))
+    assert to_jsonable(cases[-2]) == [1.0, None, None]
+    assert to_jsonable(cases[-1]) == [[1.5, None], [2.0, 3.0]]
+    with pytest.raises(TypeError):
+        to_jsonable(np.array([1j]))
 
 
 def test_csv_cells_round_trip(tmp_path):
