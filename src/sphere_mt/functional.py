@@ -50,8 +50,8 @@ OBSTRUCTION_CONSTANT = 1.0 - np.log(2.0)
 
 def _exp2(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
     """exp(2u) behind the overflow guard (RangeOverflowError above
-    EXP_LIMIT).  A zonal u, or its column, is exponentiated on that
-    column and broadcast over the grid."""
+    EXP_LIMIT), as a read-only (n_theta, n_phi) array.  A zonal u, or
+    its column, is exponentiated on that column and broadcast."""
     col = _column(u)
     two_u = 2.0 * col
     if float(two_u.max()) > EXP_LIMIT:
@@ -60,9 +60,7 @@ def _exp2(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
             f"exp(2u) overflows: max u = {col.max():.6g} at node "
             f"(theta={grid.theta[jt]:.6f}, phi={grid.phi[jp]:.6f})",
             max_value=col.max(), node=(int(jt), int(jp)))
-    e2u = np.exp(two_u)
-    return (np.broadcast_to(e2u, (grid.n_theta, grid.n_phi))
-            if e2u.shape[1] == 1 else e2u)
+    return np.broadcast_to(np.exp(two_u), (grid.n_theta, grid.n_phi))
 
 
 def _exp2u(grid: SphericalGrid, u: np.ndarray):

@@ -266,7 +266,7 @@ def integrate_values(grid: SphericalGrid, values: np.ndarray) -> float:
     """integrate() for a raw (n_theta, n_phi) array; no finiteness check.
 
     It sums each row along phi, which gives a zonal broadcast the bits of
-    its contiguous copy (tests/test_functional.py pins this).
+    its contiguous copy (a test pins this for numpy upgrades).
     """
     return float(np.dot(grid.weight, values.sum(axis=1)))
 
