@@ -25,7 +25,9 @@ private constructor, _report, writes out J, I, the shifted I, I_alpha,
 I_eps and the normalized moments for evaluate and the optimizer; beside
 it, _residual forms the EL residual, its norm, zero-integral check and
 closed-form Kazdan-Warner defects from -Lap u and the exp(2u) parts,
-for el_residual (hence l2_gradient) and the optimizer.
+for el_residual (hence l2_gradient) and the optimizer; on a zonal u it
+forms r on the column and broadcasts it, so el_residual negates only the
+Laplacian's column.
 Overflow is a first-class blow-up signal (RangeOverflowError), never a crash.
 """
 
@@ -190,9 +192,17 @@ def _residual(grid: SphericalGrid, neg_lap_u: np.ndarray, e2u: np.ndarray,
     identically 0 at eps = 1/2 (Kazdan & Warner, Ann. Math. 1974; Chang &
     Yang, Acta Math. 1987).  They do not test the equation (r does) or
     the general-h identity (kazdan_warner_residual).
+
+    r is formed on the columns of zonal parts (either may also be given
+    as its (n_theta, 1) column) and is broadcast to the grid, a full
+    array only when one part is; its integrals and its field take that
+    broadcast, bitwise those of the full-grid formula.
     """
-    r = neg_lap_u - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI)
-    norm = float(np.sqrt(integrate_values(grid, r * r)))
+    shape = (grid.n_theta, grid.n_phi)
+    col = _column(neg_lap_u) - 8.0 * np.pi * (1.0 - eps) * (
+        _column(e2u) / mass - 1.0 / FOUR_PI)
+    r = np.broadcast_to(col, shape)
+    norm = float(np.sqrt(integrate_values(grid, np.broadcast_to(col * col, shape))))
     total = integrate_values(grid, r)
     if abs(total) > 1e-9 * max(1.0, norm):
         raise InvariantViolation(
@@ -206,7 +216,8 @@ def el_residual(u: ScalarField, eps: float) -> ResidualReport:
     """Euler-Lagrange residual of u and its closed-form Kazdan-Warner
     defects (see _residual), -Lap u taken at the grid's max_degree."""
     e2u, mass, moments = _exp2u(u.grid, u.values)
-    return _residual(u.grid, -_laplacian_values(u), e2u, mass, moments, eps)
+    neg_lap_u = -_column(_laplacian_values(u))
+    return _residual(u.grid, neg_lap_u, e2u, mass, moments, eps)
 
 
 def l2_gradient(u: ScalarField, eps: float) -> ScalarField:

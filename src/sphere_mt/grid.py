@@ -207,7 +207,8 @@ class ScalarField:
     stride 0 along phi and _is_zonal is a stride test; any other field
     is stored as a read-only contiguous copy.  Elementwise work on a
     broadcast allocates the full grid, so zonal kernels take the column
-    values[:, :1], and reduce only through integrate_values.
+    values[:, :1], and reduce only through integrate_values; max and min
+    read that column, which holds every value of a zonal field.
     """
 
     grid: SphericalGrid
@@ -231,10 +232,10 @@ class ScalarField:
                            np.broadcast_to(own, expected) if zonal else own)
 
     def max(self) -> float:
-        return float(self.values.max())
+        return float(_column(self.values).max())
 
     def min(self) -> float:
-        return float(self.values.min())
+        return float(_column(self.values).min())
 
 
 def _is_zonal(values: np.ndarray) -> bool:

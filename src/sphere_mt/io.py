@@ -125,8 +125,8 @@ def to_jsonable(obj):
             "type": "ScalarField",
             "n_theta": obj.grid.n_theta,
             "n_phi": obj.grid.n_phi,
-            "min": to_jsonable(obj.values.min()),
-            "max": to_jsonable(obj.values.max()),
+            "min": to_jsonable(obj.min()),
+            "max": to_jsonable(obj.max()),
         }
     if isinstance(obj, np.ndarray):
         values = obj.tolist()

@@ -33,7 +33,7 @@ import numpy as np
 from . import conformal, harmonics
 from .errors import RangeOverflowError
 from .functional import _exp2u, _log_avg_exp, _report, _residual
-from .grid import FOUR_PI, ScalarField, build_grid
+from .grid import FOUR_PI, ScalarField, _column, build_grid
 from .io import read_field
 
 ARMIJO_C1 = 1e-4
@@ -203,7 +203,7 @@ def _trace_entry(ws, outer, st, lam, mu, grad_norm=None, inner_iters=0,
         violation = float(np.max(np.abs(report.normalized_moments)))
     return TraceEntry(
         outer=outer, value=value, objective=objective, violation=violation,
-        grad_norm=grad_norm, max_u=float(u.max()), mass=mass, mu=mu,
+        grad_norm=grad_norm, max_u=float(_column(u).max()), mass=mass, mu=mu,
         inner_iters=inner_iters, stop_reason=stop_reason)
 
 
@@ -244,7 +244,7 @@ def _lbfgs_direction(g: np.ndarray, pairs, h0: np.ndarray) -> np.ndarray:
 def _blown_up(st: tuple) -> bool:
     """Blow-up detector: exp(2u) overflowed or a threshold passed."""
     u, _, report = st
-    return (report is None or float(u.max()) > MAX_U_THRESHOLD
+    return (report is None or float(_column(u).max()) > MAX_U_THRESHOLD
             or report.mass > MASS_THRESHOLD)
 
 

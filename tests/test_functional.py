@@ -9,7 +9,8 @@ from sphere_mt import (FOUR_PI, HarmonicSpectrum, MobiusMap,
                        mobius_pullback, synthesize)
 from sphere_mt import green_two_pole, harmonics, max_bubble_t
 from sphere_mt.conformal import NORTH, SOUTH
-from sphere_mt.functional import _exp2u, _log_avg_exp
+from sphere_mt.functional import _exp2u, _laplacian_values, _log_avg_exp
+from sphere_mt.grid import integrate, integrate_values
 
 from _oracles import pair_i_alpha
 
@@ -361,6 +362,26 @@ def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
                     == bits(kazdan_warner_residual(full, full_storage(h),
                                                    1.3))), name
     assert branches == {True, False}
+
+
+@pytest.mark.parametrize("shape", [(64, 128), (256, 512)])
+def test_zonal_el_residual_matches_the_full_grid_formula_bitwise(shape):
+    # el_residual forms r on a bubble pair's column and keeps it as a
+    # broadcast; the formula written out on full arrays gives its bits
+    grid = build_grid(*shape)
+    u = bubble_pair(3.0, grid).field
+    eps = 0.25
+    rep = el_residual(u, eps)
+    neg_lap = -np.ascontiguousarray(_laplacian_values(u))
+    e2u = np.exp(2.0 * np.ascontiguousarray(u.values))
+    mass = integrate_values(grid, e2u)
+    r = neg_lap - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI)
+    assert rep.el_residual_field.values.strides[1] == 0
+    assert bits(rep.el_residual_field.values) == bits(r)
+    assert (bits(rep.el_residual_norm)
+            == bits(np.sqrt(integrate_values(grid, r * r))))
+    assert (bits(integrate(rep.el_residual_field))
+            == bits(integrate_values(grid, r)))
 
 
 @pytest.mark.parametrize("n_phi", [4, 5, 127, 130, 512, 1024])

@@ -196,6 +196,21 @@ def test_non_zonal_fields_are_stored_as_a_contiguous_copy(grid_small):
             f.values[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("shape", [(24, 48), (33, 65), (256, 512)])
+def test_max_and_min_are_those_of_the_contiguous_copy(shape):
+    # max and min read a zonal field's column; zonal or not, they give
+    # the bits of the same reduction over every node of a full copy
+    g = build_grid(*shape)
+    rng = np.random.default_rng(shape[1])
+    col = rng.standard_normal((g.n_theta, 1))
+    for given in (np.broadcast_to(col, shape), np.repeat(col, g.n_phi, axis=1),
+                  rng.standard_normal(shape)):
+        f = ScalarField(g, given)
+        copy = np.ascontiguousarray(f.values)
+        assert f.max().hex() == float(copy.max()).hex()
+        assert f.min().hex() == float(copy.min()).hex()
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_zonal_field_names_its_first_node(grid_small, bad):
     # a whole row set to the bad value: the first non-finite node in

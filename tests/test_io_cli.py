@@ -360,6 +360,62 @@ def test_cli_usage_error_is_64(capsys):
     assert info.value.code == 64
 
 
+def test_cli_cached_parser_is_reused_safely(capsys):
+    # one parser serves every in-process call; each call prints and
+    # returns exactly what it does on a freshly built parser, so no flag
+    # or default leaks from one call into the next
+    from sphere_mt import cli as cli_mod
+
+    def run(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    calls = [["check", "--L", "3"], ["check"], ["check", "--bogus"],
+             ["evaluate", "--make-bubble-pair", "4"], ["evaluate"]]
+    parser = cli_mod.build_parser()
+    cached = [run(argv) for argv in calls]
+    assert cli_mod.build_parser() is parser
+    fresh = []
+    for argv in calls:
+        cli_mod.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert cached[0][0] == 0 and "L=3," in cached[0][1]
+    round_trip = [line for line in cached[1][1].splitlines()
+                  if "transform.round_trip" in line]
+    assert cached[1][0] == 0 and "L=16," in round_trip[0]
+    assert cached[2][0] == ("SystemExit", 64) and cached[2][1] == ""
+    assert [rc for rc, _, _ in cached[3:]] == [0, 0]
+    assert json.loads(cached[3][1])["mass"] != json.loads(cached[4][1])["mass"]
+
+
+@pytest.mark.parametrize("shape", [(48, 96), (65, 130), (256, 512)])
+def test_cli_curvature_equation_is_the_full_grid_max(shape):
+    # check takes max|Lap w + exp(2w) - 1| over the columns of the two
+    # zonal fields; a max is exact, so it is bitwise the full-grid max
+    from sphere_mt import conformal, functional
+    from sphere_mt.cli import _check_suite
+    from sphere_mt.grid import _column
+
+    grid = build_grid(*shape)
+    details = {name: detail for name, _, detail in _check_suite(grid, 16, 42)}
+    t = min(4.0, conformal.max_bubble_t(grid))
+    w = conformal.mobius_factor(conformal.MobiusMap(conformal.NORTH, t), grid)
+    lap = functional._laplacian_values(w)
+    e2w = functional._exp2(grid, w.values)
+    assert lap.strides[1] == 0 and e2w.strides[1] == 0
+    full = float(np.max(np.abs(np.ascontiguousarray(lap)
+                               + np.ascontiguousarray(e2w) - 1.0)))
+    column = float(np.max(np.abs(_column(lap) + _column(e2w) - 1.0)))
+    assert column.hex() == full.hex()
+    assert (details["conformal.curvature_equation"]
+            == f"t={t}, max residual = {full:.3e}")
+
+
 def test_cli_evaluate_zero_field(capsys):
     assert main(["evaluate", "--n-theta", "24", "--n-phi", "48"]) == 0
     data = json.loads(capsys.readouterr().out)
