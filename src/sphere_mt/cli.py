@@ -308,8 +308,9 @@ def _add_grid_flags(p):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: built on the first call, then only
-    parsing runs (parse_args keeps no state between calls)."""
+    """The one parser of the process, built on the first call.  Every
+    later call returns it, so callers only parse with it (parse_args
+    keeps no state between calls) and never add to or change it."""
     parser = _Parser(prog="sphere-mt",
                      description="Spectral toolkit for the improved "
                                  "Moser-Trudinger functional on the sphere.")
