@@ -219,10 +219,11 @@ class BubblePairField:
 def bubble_pair(t: float, grid: SphericalGrid) -> BubblePairField:
     """Superpose conformal factors at the two poles.
 
-    The moments cancel to roundoff on antipodal nodes: n_phi is even,
-    and every SphericalGrid is mirror-symmetric in cos(theta).  Both
-    axis factors are zonal, so their columns are added and the sum
-    broadcast over phi: the field costs one column.
+    Both axis factors are zonal, so their columns are added and the sum
+    broadcast over phi: the field costs one column.  Being zonal, its x
+    and y moments are exactly 0 on the uniform longitude rule; its z
+    moment cancels to roundoff on antipodal nodes: n_phi is even, and
+    every SphericalGrid is mirror-symmetric in cos(theta).
     """
     _check_t(grid, t)
     if grid.n_phi % 2 != 0:

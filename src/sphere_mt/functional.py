@@ -19,15 +19,16 @@ _exp2, the one overflow guard, which kazdan_warner_residual and the
 CLI's conformal checks call for exp(2u) alone.  A zonal u (stored by
 ScalarField as a broadcast column) is exponentiated on its column, and
 its mass, z moment and log-average are row sums of broadcasts, bitwise
-those of the full grid; the x and y moments keep their full products,
-since they are roundoff, not 0, and zeroing them would move bits.  One
+those of the full grid; its x and y moments are exactly 0.0, the value
+of the uniform longitude rule, where full products give only roundoff
+(_first_moments, which kazdan_warner_residual shares).  One
 private constructor, _report, writes out J, I, the shifted I, I_alpha,
 I_eps and the normalized moments for evaluate and the optimizer; beside
 it, _residual forms the EL residual, its norm, zero-integral check and
 closed-form Kazdan-Warner defects from -Lap u and the exp(2u) parts,
 for el_residual (hence l2_gradient) and the optimizer; on a zonal u it
 forms r on the column and broadcasts it, so el_residual negates only the
-Laplacian's column.
+Laplacian's column and l2_gradient divides only r's column.
 Overflow is a first-class blow-up signal (RangeOverflowError), never a crash.
 """
 
@@ -40,8 +41,8 @@ import numpy as np
 from . import harmonics
 from .conformal import bubble_mass
 from .errors import InvariantViolation, RangeOverflowError
-from .grid import (FOUR_PI, ScalarField, SphericalGrid, _column, average,
-                   integrate_values)
+from .grid import (FOUR_PI, ScalarField, SphericalGrid, _column, _is_zonal,
+                   average, integrate_values)
 
 #: exp argument ceiling; doubles overflow near 709.78
 EXP_LIMIT = 700.0
@@ -65,20 +66,32 @@ def _exp2(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.exp(two_u), (grid.n_theta, grid.n_phi))
 
 
+def _first_moments(grid: SphericalGrid, f: np.ndarray) -> np.ndarray:
+    """[int f x, int f y, int f z] for (n_theta, n_phi) values f.
+
+    A zonal f (stride 0 along phi) has x and y moments exactly 0.0: the
+    uniform longitude rule sums cos(phi_k) and sin(phi_k) to 0 for every
+    n_phi >= 4, and the full products would only give roundoff.  Its z
+    moment (z too is constant in phi) is the row sum of one column's
+    product, broadcast, bitwise that of the full grid.  Any other f
+    takes the three full products.
+    """
+    if _is_zonal(f):
+        fz = np.broadcast_to(_column(f) * grid.xyz[:, :1, 2], f.shape)
+        return np.array([0.0, 0.0, integrate_values(grid, fz)])
+    return np.array([integrate_values(grid, f * grid.xyz[:, :, i])
+                     for i in range(3)])
+
+
 def _exp2u(grid: SphericalGrid, u: np.ndarray):
     """The one exp(2u) kernel: (e2u, mass, moments), with
-    moments_i = int exp(2u) x_i.
+    moments_i = int exp(2u) x_i (_first_moments).
 
-    On a zonal u, e2u is a broadcast column, and mass and the z moment
-    (z too is constant in phi) take one column's products; the x and y
-    moments keep their full products.
+    On a zonal u, e2u is a broadcast column, mass and the z moment take
+    one column's products, and the x and y moments are exactly 0.0.
     """
     e2u = _exp2(grid, u)
-    ez = np.broadcast_to(_column(e2u) * grid.xyz[:, :1, 2], e2u.shape)
-    moments = np.array([integrate_values(grid, e2u * grid.xyz[:, :, 0]),
-                        integrate_values(grid, e2u * grid.xyz[:, :, 1]),
-                        integrate_values(grid, ez)])
-    return e2u, integrate_values(grid, e2u), moments
+    return e2u, integrate_values(grid, e2u), _first_moments(grid, e2u)
 
 
 def _log_avg_exp(grid: SphericalGrid, u: np.ndarray, mass: float) -> float:
@@ -228,9 +241,11 @@ def l2_gradient(u: ScalarField, eps: float) -> ScalarField:
     the Euler-Lagrange residual divided by 4 pi (1-eps).  Vanishes
     exactly on solutions of the Euler-Lagrange equation; its integral is
     zero for every u (the two constant terms balance), and is asserted.
+    A zonal r is divided on its column and broadcast.
     """
     r = el_residual(u, eps).el_residual_field.values
-    return ScalarField(u.grid, r / (FOUR_PI * (1.0 - eps)))
+    col = _column(r) / (FOUR_PI * (1.0 - eps))
+    return ScalarField(u.grid, np.broadcast_to(col, r.shape))
 
 
 def kazdan_warner_residual(v: ScalarField, h: ScalarField, c: float) -> np.ndarray:
@@ -244,14 +259,17 @@ def kazdan_warner_residual(v: ScalarField, h: ScalarField, c: float) -> np.ndarr
     So r_i = avg(x_i q), q = (h Lap e^v - e^v Lap h)/2 + (c - 1) h e^v:
     two Laplacians, of e^v and of h.  _residual's closed form is the
     constant-h case: Lap h = 0 and avg(x_i Lap e^v) = -2 avg(x_i e^v)
-    exactly, x_i being of degree 1.
+    exactly, x_i being of degree 1.  When v and h are both zonal, q is
+    formed on their columns, so its x and y defects are exactly 0.0
+    (_first_moments); otherwise q is formed on the full grid.
     """
     grid = v.grid
     ev = _exp2(grid, 0.5 * _column(v.values))
-    q = (0.5 * (h.values * _laplacian_values(ScalarField(grid, ev))
-                - ev * _laplacian_values(h)) + (c - 1.0) * h.values * ev)
-    return np.array([integrate_values(grid, q * grid.xyz[:, :, i])
-                     for i in range(3)]) / FOUR_PI
+    lap_ev = _laplacian_values(ScalarField(grid, ev))
+    hc, evc = _column(h.values), _column(ev)
+    q = (0.5 * (hc * _column(lap_ev) - evc * _column(_laplacian_values(h)))
+         + (c - 1.0) * hc * evc)
+    return _first_moments(grid, np.broadcast_to(q, ev.shape)) / FOUR_PI
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,15 @@ def degrees(L: int) -> np.ndarray:
     return np.repeat(l, 2 * l + 1)
 
 
+@lru_cache(maxsize=16)
+def _degree_weights(L: int) -> np.ndarray:
+    """l(l+1) of each flat coefficient index, read-only, one per L."""
+    l = degrees(L)
+    ll1 = l * (l + 1.0)
+    ll1.setflags(write=False)
+    return ll1
+
+
 def flat_index(l: int, m: int) -> int:
     """Position of coefficient (l, m) in the flat layout l*l + l + m."""
     return l * l + l + m
@@ -306,6 +315,5 @@ def laplacian(s: HarmonicSpectrum) -> HarmonicSpectrum:
 
 def dirichlet_energy(s: HarmonicSpectrum) -> float:
     """integral |grad u|^2 = sum l(l+1) c_lm^2 (Parseval)."""
-    l = degrees(s.L)
-    return float(np.sum(l * (l + 1.0) * s.coeff ** 2))
+    return float(np.sum(_degree_weights(s.L) * s.coeff ** 2))
 

@@ -130,8 +130,7 @@ class _Workspace:
         self.grid = build_grid(config.n_theta, config.n_phi)
         harmonics._check_degree(self.grid, config.L)
         self.L = config.L
-        ld = harmonics.degrees(self.L)
-        self.ll1 = ld * (ld + 1.0)
+        self.ll1 = harmonics._degree_weights(self.L)
         self.precond = 1.0 / (1.0 + self.ll1)
 
     def state(self, coeff: np.ndarray) -> tuple:
@@ -157,16 +156,23 @@ class _Workspace:
         """Spectral L^2 gradient of the augmented objective, mode 0 frozen.
 
         Only the exp(2u) terms need the grid; the Laplacian term is the
-        diagonal l(l+1) c_lm / (4 pi (1-eps)) in coefficient space.
+        diagonal l(l+1) c_lm / (4 pi (1-eps)) in coefficient space.  A
+        zonal exp(2u) is worked on its column (z is constant in phi, and
+        its x and y moments are exactly 0, so are their weights while
+        lam_x and lam_y are), and g stays a zonal broadcast unless an x
+        or y weight is nonzero.
         """
         eps = self.config.eps
         _, e2u, report = st
         mass, mhat = report.mass, report.normalized_moments
-        g = 1.0 / (2.0 * np.pi) - 2.0 * e2u / mass
+        e2u_col = _column(e2u)
+        g = 1.0 / (2.0 * np.pi) - 2.0 * e2u_col / mass
         for i in range(3):
             weight_i = lam[i] + mu * mhat[i]
             if weight_i != 0.0:
-                g = g + weight_i * 2.0 * e2u * (self.grid.xyz[:, :, i] - mhat[i]) / mass
+                x_i = self.grid.xyz[:, :1, 2] if i == 2 else self.grid.xyz[:, :, i]
+                g = g + weight_i * 2.0 * e2u_col * (x_i - mhat[i]) / mass
+        g = np.broadcast_to(g, e2u.shape)
         ghat = (harmonics.analyze(ScalarField(self.grid, g), self.L).coeff
                 + self.ll1 * coeff / (FOUR_PI * (1.0 - eps)))
         ghat[0] = 0.0

@@ -9,7 +9,8 @@ from sphere_mt import (FOUR_PI, HarmonicSpectrum, MobiusMap,
                        mobius_pullback, synthesize)
 from sphere_mt import green_two_pole, harmonics, max_bubble_t
 from sphere_mt.conformal import NORTH, SOUTH
-from sphere_mt.functional import _exp2u, _laplacian_values, _log_avg_exp
+from sphere_mt.functional import (_exp2u, _first_moments, _laplacian_values,
+                                  _log_avg_exp)
 from sphere_mt.grid import integrate, integrate_values
 
 from _oracles import pair_i_alpha
@@ -307,6 +308,22 @@ def bits(*xs):
     return [np.ascontiguousarray(x, dtype=float).tobytes() for x in xs]
 
 
+def assert_xy_moments(got, want, mass):
+    # a zonal integrand's x and y moments are the uniform longitude
+    # rule's exact 0.0; its full-storage products miss 0 by roundoff only
+    assert bits(got[:2]) == bits(np.zeros(2))
+    assert np.all(np.abs(want[:2]) <= 1e-15 * mass), (want[:2], mass)
+
+
+def kw_integrand_mass(v, h, c):
+    """avg |q| for kazdan_warner_residual's integrand q, written out on
+    full arrays: the scale of its x_i-weighted sums' roundoff."""
+    ev = np.exp(np.ascontiguousarray(v.values))
+    q = (0.5 * (h.values * _laplacian_values(ScalarField(v.grid, ev))
+                - ev * _laplacian_values(h)) + (c - 1.0) * h.values * ev)
+    return integrate_values(v.grid, np.abs(q)) / FOUR_PI
+
+
 def zonal_fields(grid):
     t = min(2.5, max_bubble_t(grid))
     rng = np.random.default_rng(grid.n_theta)
@@ -326,16 +343,16 @@ def zonal_fields(grid):
                          ids=["odd_n_theta", "odd_n_phi", "64x4", "24576x4"])
 def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
     # exp, expm1 and the z moment on one column, broadcast and summed by
-    # rows, give the bits of the full grid (also a tripwire for numpy)
+    # rows, give the bits of the full grid (also a tripwire for numpy);
+    # the x and y moments, and what is formed from them, are exactly 0
     grid = build_grid(*shape)
     # the transforms take a full-grid copy through m = 0 as well, by the
     # node-by-node test that found zonal fields before the stride test
     monkeypatch.setattr(harmonics, "_is_zonal",
                         lambda v: bool((v == v[:, :1]).all()))
     h = green_two_pole(grid)
-    report_fields = ("avg_grad_sq", "avg_u", "log_avg_exp", "mass", "moments",
-                     "normalized_moments", "onofri_J", "improved_I",
-                     "shifted_I", "i_alpha", "i_eps")
+    report_fields = ("avg_grad_sq", "avg_u", "log_avg_exp", "mass",
+                     "onofri_J", "improved_I", "shifted_I", "i_alpha", "i_eps")
     branches = set()
     for name, f in zonal_fields(grid).items():
         # shifted down, the mass falls below 2 pi: the other log-average
@@ -346,22 +363,46 @@ def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
             e2u, mass, moments = _exp2u(grid, u.values)
             ref = _exp2u(grid, full.values)
             assert e2u.strides[1] == 0 and ref[0].strides[1] != 0
-            assert bits(e2u, mass, moments) == bits(*ref), name
+            assert (bits(e2u, mass, moments[2])
+                    == bits(ref[0], ref[1], ref[2][2])), name
+            assert_xy_moments(moments, ref[2], mass)
             branches.add(mass >= 2.0 * np.pi)
             assert (bits(_log_avg_exp(grid, u.values, mass))
                     == bits(_log_avg_exp(grid, full.values, mass))), name
             got, want = (evaluate(v, alpha=0.5, eps=0.25) for v in (u, full))
             assert (bits(*(getattr(got, k) for k in report_fields))
                     == bits(*(getattr(want, k) for k in report_fields))), name
+            for k, scale in (("moments", mass), ("normalized_moments", 1.0)):
+                assert bits(getattr(got, k)[2]) == bits(getattr(want, k)[2])
+                assert_xy_moments(getattr(got, k), getattr(want, k), scale)
             got, want = (el_residual(v, 0.25) for v in (u, full))
             assert (bits(got.el_residual_field.values, got.el_residual_norm,
-                         got.kw_residual)
+                         got.kw_residual[2])
                     == bits(want.el_residual_field.values,
-                            want.el_residual_norm, want.kw_residual)), name
-            assert (bits(kazdan_warner_residual(u, h, 1.3))
-                    == bits(kazdan_warner_residual(full, full_storage(h),
-                                                   1.3))), name
+                            want.el_residual_norm, want.kw_residual[2])), name
+            # kw_residual = 8 (1-2 eps)(1-eps) normalized_moments
+            assert_xy_moments(got.kw_residual, want.kw_residual, 8.0)
+            got = kazdan_warner_residual(u, h, 1.3)
+            want = kazdan_warner_residual(full, full_storage(h), 1.3)
+            assert bits(got[2]) == bits(want[2]), name
+            assert_xy_moments(got, want, kw_integrand_mass(full, h, 1.3))
     assert branches == {True, False}
+
+
+@pytest.mark.parametrize("n_phi", [4, 5, 127, 130, 512, 1024])
+def test_zonal_x_and_y_moments_are_exactly_zero(n_phi):
+    # the uniform longitude rule sums cos(phi_k) and sin(phi_k) to 0:
+    # _first_moments gives a zonal field that 0.0, and the z moment of
+    # the full products
+    rng = np.random.default_rng(n_phi)
+    for n_theta in (2, 33, 256, 1025) + ((24576,) if n_phi == 4 else ()):
+        grid = build_grid(n_theta, n_phi)
+        col = np.exp(6.0 * rng.standard_normal((n_theta, 1)))
+        wide = np.broadcast_to(col, (n_theta, n_phi))
+        got = _first_moments(grid, wide)
+        want = _first_moments(grid, np.ascontiguousarray(wide))
+        assert bits(got[2]) == bits(want[2])
+        assert_xy_moments(got, want, integrate_values(grid, wide))
 
 
 @pytest.mark.parametrize("shape", [(64, 128), (256, 512)])
@@ -382,6 +423,21 @@ def test_zonal_el_residual_matches_the_full_grid_formula_bitwise(shape):
             == bits(np.sqrt(integrate_values(grid, r * r))))
     assert (bits(integrate(rep.el_residual_field))
             == bits(integrate_values(grid, r)))
+
+
+@pytest.mark.parametrize("shape, zonal", [((64, 128), True),
+                                          ((256, 512), True),
+                                          ((64, 128), False)])
+def test_l2_gradient_is_the_full_grid_division_bitwise(shape, zonal):
+    # a zonal residual is divided on its column and broadcast: the bits
+    # of dividing the whole grid, and no node scan to find it zonal
+    grid = build_grid(*shape)
+    u = bubble_pair(3.0, grid).field if zonal else random_field(grid)
+    eps = 0.25
+    r = np.ascontiguousarray(el_residual(u, eps).el_residual_field.values)
+    g = l2_gradient(u, eps)
+    assert (g.values.strides[1] == 0) == zonal
+    assert bits(g.values) == bits(r / (FOUR_PI * (1.0 - eps)))
 
 
 @pytest.mark.parametrize("n_phi", [4, 5, 127, 130, 512, 1024])

@@ -8,7 +8,8 @@ from scipy.special import sph_legendre_p, sph_legendre_p_all
 
 from sphere_mt import (FOUR_PI, HarmonicSpectrum, ResolutionError,
                        ScalarField, analyze, build_grid, dirichlet_energy,
-                       integrate, laplacian, max_degree, synthesize)
+                       harmonics, integrate, laplacian, max_degree,
+                       synthesize)
 from sphere_mt.harmonics import _legendre_tables, _zonal_table, flat_index
 from sphere_mt.conformal import MobiusMap, NORTH, mobius_factor
 
@@ -159,6 +160,20 @@ def test_dirichlet_energy_of_dipole(grid_small):
     oracle = 2.0 * integrate(ScalarField(grid_small, x3.values ** 2))
     assert dirichlet_energy(s) == pytest.approx(oracle, rel=1e-12)
     assert dirichlet_energy(s) == pytest.approx(8.0 * np.pi / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("L", [0, 1, 16, 254])
+def test_dirichlet_energy_weights_are_the_old_expression_bitwise(L):
+    # the cached read-only l(l+1) gives the bits of building it per call
+    s = HarmonicSpectrum(L=L, coeff=np.random.default_rng(L).standard_normal(
+        (L + 1) ** 2))
+    l = harmonics.degrees(L)
+    weights = harmonics._degree_weights(L)
+    assert weights is harmonics._degree_weights(L)
+    assert not weights.flags.writeable
+    assert weights.tobytes() == (l * (l + 1.0)).tobytes()
+    old = float(np.sum(l * (l + 1.0) * s.coeff ** 2))
+    assert np.float64(dirichlet_energy(s)).tobytes() == np.float64(old).tobytes()
 
 
 def test_dirichlet_energy_properties(grid_default):

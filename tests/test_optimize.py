@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,32 @@ def test_bubble_pair_ladder_first_rung_iteration_count(t):
     assert cont.classification == "compact"
     assert all(s == STATUS_CONVERGED for s in cont.statuses)
     assert sum(e.inner_iters for e in cont.results[0].trace) <= 15
+
+
+class SlabsBuilt(Exception):
+    pass
+
+
+def test_bubble_pair_ladder_stays_zonal(monkeypatch):
+    # a zonal start has x and y moments exactly 0, so lambda_x, lambda_y
+    # and the x/y gradient terms stay 0 and every iterate stays zonal: no
+    # transform of the ladder needs the paired-m slabs
+    def no_slabs(grid, L):
+        raise SlabsBuilt(f"paired-m slabs for L={L}")
+
+    monkeypatch.setattr(harmonics, "_legendre_tables", no_slabs)
+    base = MinimizeConfig(eps=0.4, L=16, n_theta=64, n_phi=128,
+                          init_kind="bubble_pair", init_t=3.7)
+    cont = continuation([0.4, 0.3, 0.2, 0.1, 0.05], base)
+    m = np.arange(17 ** 2) - harmonics.degrees(16) * (harmonics.degrees(16) + 1)
+    for res in cont.results:
+        assert res.status == STATUS_CONVERGED
+        assert res.u_star.values.strides[1] == 0
+        assert np.all(res.coeff[m != 0] == 0.0)
+        assert np.all(res.multipliers[:2] == 0.0)
+        assert np.all(res.kw_residual[:2] == 0.0)
+    with pytest.raises(SlabsBuilt):
+        minimize(replace(base, init_kind="random"))
 
 
 def test_random_start_iteration_count():
