@@ -265,10 +265,10 @@ def kazdan_warner_residual(v: ScalarField, h: ScalarField, c: float) -> np.ndarr
     """
     grid = v.grid
     ev = _exp2(grid, 0.5 * _column(v.values))
-    lap_ev = _laplacian_values(ScalarField(grid, ev))
     hc, evc = _column(h.values), _column(ev)
-    q = (0.5 * (hc * _column(lap_ev) - evc * _column(_laplacian_values(h)))
-         + (c - 1.0) * hc * evc)
+    lap_ev = _column(_laplacian_values(ScalarField(grid, ev)))
+    lap_h = _column(_laplacian_values(h))
+    q = 0.5 * (hc * lap_ev - evc * lap_h) + (c - 1.0) * hc * evc
     return _first_moments(grid, np.broadcast_to(q, ev.shape)) / FOUR_PI
 
 

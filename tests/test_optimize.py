@@ -130,7 +130,8 @@ def test_bubble_pair_ladder_stays_zonal(monkeypatch):
     base = MinimizeConfig(eps=0.4, L=16, n_theta=64, n_phi=128,
                           init_kind="bubble_pair", init_t=3.7)
     cont = continuation([0.4, 0.3, 0.2, 0.1, 0.05], base)
-    m = np.arange(17 ** 2) - harmonics.degrees(16) * (harmonics.degrees(16) + 1)
+    l = harmonics.degrees(16)
+    m = np.arange(l.size) - l * (l + 1)  # flat index l*l + l + m
     for res in cont.results:
         assert res.status == STATUS_CONVERGED
         assert res.u_star.values.strides[1] == 0
