@@ -13,12 +13,16 @@ area preservation of exp(2 w_t), and -Lap w_t = exp(2 w_t) - 1.
 The pullback T u = u o phi + w_t composes through one quintic spline fit
 of u: its tensor spline for an off-axis pole, its restriction to the
 grid's longitudes for an axis pole, and one column of that for an axis
-pole and a zonal u.
+pole and a zonal u.  The splines are numpy alone: a banded LU without
+pivoting of each grid's collocation matrices, cached per grid, and de
+Boor's recurrence for the B-splines at the targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +39,10 @@ _CORE_NODES = 8
 #: (and columns across each end of the period)
 _SPLINE_ORDER = 5
 _POLE_PAD = 6
+
+#: target points per block of the tensor evaluator: its (36, block)
+#: coefficient gather stays within the L2 cache
+_EVAL_BLOCK = 4096
 
 
 def max_bubble_t(grid: SphericalGrid) -> float:
@@ -116,7 +124,123 @@ def mobius_point_map(map: MobiusMap, xyz: np.ndarray) -> np.ndarray:
     return out
 
 
-def _meridian_spline(grid: SphericalGrid, vals: np.ndarray):
+class _Interpolant:
+    """Not-a-knot quintic interpolation at m >= 6 fixed increasing sites.
+
+    The knots are make_interp_spline's: the sites less three at each
+    end, the end sites repeated six times.  The collocation matrix
+    B_j(x_i) is banded and totally positive, so its LU needs no
+    pivoting (de Boor & Pinkus, Numer. Math. 1977); each row of L and U
+    keeps only the columns between its first and last nonzero, O(m) in
+    all.  A fit runs one substitution whose arithmetic on a column does
+    not depend on how many columns are solved together: rows of numpy
+    arrays for many columns, Python floats for one, so a zonal field's
+    one-column fit is bitwise the fit of all its identical columns.
+    """
+
+    def __init__(self, x: np.ndarray):
+        k = _SPLINE_ORDER
+        half = (k + 1) // 2
+        self.knots = np.concatenate([np.full(k + 1, x[0]), x[half:-half],
+                                     np.full(k + 1, x[-1])])
+        first, b = self.basis(x)
+        self.lower = []     # (first column, multipliers) of each row of L
+        upper = []          # each row of U, from its diagonal on
+        for i, (s, row) in enumerate(zip(first.tolist(), b.T.tolist())):
+            while row[-1] == 0.0:
+                row.pop()
+            while row[0] == 0.0:
+                del row[0]
+                s += 1
+            mults = []
+            for p in range(s, i):
+                up = upper[p]
+                mult = row[p - s] / up[0]
+                mults.append(mult)
+                row.extend([0.0] * (p - s + len(up) - len(row)))
+                for q in range(1, len(up)):
+                    row[p - s + q] -= mult * up[q]
+            self.lower.append((s, mults))
+            upper.append(row[i - s:])
+        self.upper = [(u[0], u[1:]) for u in upper]
+
+    def basis(self, x: np.ndarray):
+        """Knot interval and the six nonzero B-splines at each of x.
+
+        Returns (first, b): b[a] = B_{first + a}(x), shape (6, len(x)),
+        by de Boor's recurrence in the order of scipy's _deBoor_D, one
+        degree at a time for every point.  x outside the knots
+        extrapolates the end pieces.
+        """
+        t, k = self.knots, _SPLINE_ORDER
+        ell = np.clip(np.searchsorted(t, x, side="right") - 1,
+                      k, len(t) - k - 2)
+        # near[k - 1 + d] = t[ell + d] for d = 1 - k .. k
+        near = t[ell + np.arange(1 - k, k + 1)[:, None]]
+        right, left = near[k:] - x, x - near[:k]
+        h = np.ones((1, x.size))
+        for j in range(1, k + 1):
+            w = h / (near[k:k + j] - near[k - j:k])
+            h = np.empty((j + 1, x.size))
+            np.multiply(w, right[:j], out=h[:j])
+            h[j] = 0.0
+            h[1:] += w * left[k - j:]
+        return ell - k, h
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """Spline coefficients interpolating each column of y (m, ncols)."""
+        one = y.shape[1] == 1
+        out = None if one else np.array(y, dtype=float, order="C")
+        rows = y[:, 0].tolist() if one else list(out)
+        for i, (s, mults) in enumerate(self.lower):
+            r = rows[i]
+            for p, mult in enumerate(mults, s):
+                r -= mult * rows[p]
+            rows[i] = r
+        for i in range(len(rows) - 1, -1, -1):
+            diag, ups = self.upper[i]
+            r = rows[i]
+            for q, u in enumerate(ups, i + 1):
+                r -= u * rows[q]
+            r /= diag
+            rows[i] = r
+        return np.array(rows)[:, None] if one else out
+
+
+@lru_cache(maxsize=16)
+def _theta_interpolant(grid: SphericalGrid) -> _Interpolant:
+    """The meridian fit's sites: theta extended _POLE_PAD rows across
+    both poles."""
+    pt = min(_POLE_PAD, grid.n_theta)
+    return _Interpolant(np.concatenate([-grid.theta[:pt][::-1], grid.theta,
+                                        2.0 * np.pi - grid.theta[-pt:][::-1]]))
+
+
+@lru_cache(maxsize=16)
+def _phi_interpolant(grid: SphericalGrid) -> _Interpolant:
+    """The tensor fit's sites along phi: the period extended by
+    _POLE_PAD columns at each end."""
+    pp = min(_POLE_PAD, grid.n_phi)
+    return _Interpolant(np.concatenate([grid.phi[-pp:] - 2.0 * np.pi, grid.phi,
+                                        grid.phi[:pp] + 2.0 * np.pi]))
+
+
+class _Spline(NamedTuple):
+    """A 1-D spline: its sites' interpolant and the coefficients of its
+    columns; called at points x, it returns their values (len(x), ncols)."""
+
+    fit: _Interpolant
+    c: np.ndarray
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        first, b = self.fit.basis(x)
+        out = b[0, :, None] * self.c[first]
+        for a in range(1, _SPLINE_ORDER + 1):
+            out += b[a, :, None] * self.c[first + a]
+        return out
+
+
+def _meridian_spline(grid: SphericalGrid, vals: np.ndarray) -> _Spline:
     """Not-a-knot spline in theta alone of every column of vals, the
     columns first extended by _POLE_PAD rows across both poles via
     u(-th, ph) = u(th, ph+pi).
@@ -126,39 +250,66 @@ def _meridian_spline(grid: SphericalGrid, vals: np.ndarray):
     is that column).  Requires even n_phi so the half-turn is an exact
     column roll.
     """
-    # scipy.interpolate is imported here, not at module level: it is most
-    # of the package's import time, and only the pullback uses it
-    from scipy.interpolate import make_interp_spline
-
     if grid.n_phi % 2 != 0:
         raise ResolutionError("interpolation across the poles requires even n_phi")
     pt = min(_POLE_PAD, grid.n_theta)
     rolled = np.roll(vals, grid.n_phi // 2, axis=1)
-    theta_ext = np.concatenate([-grid.theta[:pt][::-1], grid.theta,
-                                2.0 * np.pi - grid.theta[-pt:][::-1]])
     stacked = np.vstack([rolled[:pt][::-1], vals, rolled[-pt:][::-1]])
-    return make_interp_spline(theta_ext, stacked,
-                              k=min(_SPLINE_ORDER, len(theta_ext) - 1))
+    fit = _theta_interpolant(grid)
+    return _Spline(fit, fit.solve(stacked))
 
 
-def _tensor_spline(u: ScalarField):
-    """Tensor spline on the (theta, phi) rectangle: the meridian fit's
-    coefficients interpolated in phi over the period extended by
-    _POLE_PAD columns at each end (de Boor, A Practical Guide to
-    Splines, ch. 17: a tensor interpolant is 1-D fits done in turn)."""
-    from scipy.interpolate import NdBSpline, make_interp_spline
-
+def _tensor_spline(u: ScalarField) -> np.ndarray:
+    """Tensor spline of u on the (theta, phi) rectangle: the meridian
+    fit's coefficients interpolated in phi over the period extended by
+    _POLE_PAD columns at each end (de Boor, A Practical Guide to Splines,
+    ch. 17: a tensor interpolant is 1-D fits done in turn).  Returns the
+    coefficients c[j, i] of B_i(theta) B_j(phi), phi-major."""
     grid = u.grid
-    meridian = _meridian_spline(grid, u.values)
+    c = _meridian_spline(grid, u.values).c
     pp = min(_POLE_PAD, grid.n_phi)
-    phi_ext = np.concatenate([grid.phi[-pp:] - 2.0 * np.pi, grid.phi,
-                              grid.phi[:pp] + 2.0 * np.pi])
-    c = meridian.c
-    along_phi = make_interp_spline(
-        phi_ext, np.concatenate([c[:, -pp:], c, c[:, :pp]], axis=1),
-        k=min(_SPLINE_ORDER, len(phi_ext) - 1), axis=1)
-    return NdBSpline((meridian.t, along_phi.t), np.moveaxis(along_phi.c, 0, 1),
-                     (meridian.k, along_phi.k))
+    return _phi_interpolant(grid).solve(
+        np.concatenate([c[:, -pp:], c, c[:, :pp]], axis=1).T)
+
+
+def _tensor_values(grid: SphericalGrid, coeff: np.ndarray, theta: np.ndarray,
+                   phi: np.ndarray) -> np.ndarray:
+    """The tensor spline with coefficients coeff (_tensor_spline's
+    layout) at the points (theta, phi): each point's 6 x 6 coefficients
+    weighted by its B-splines in theta and in phi, summed over theta
+    first, _EVAL_BLOCK points at a time."""
+    along_theta, along_phi = _theta_interpolant(grid), _phi_interpolant(grid)
+    n_c = coeff.shape[1]
+    width = _SPLINE_ORDER + 1
+    offsets = (n_c * np.arange(width)[:, None] + np.arange(width)).reshape(-1, 1)
+    flat = coeff.ravel()
+    out = np.empty(np.shape(theta))
+    theta, phi, values = np.ravel(theta), np.ravel(phi), out.reshape(-1)
+    for s in range(0, theta.size, _EVAL_BLOCK):
+        block = slice(s, s + _EVAL_BLOCK)
+        i_t, b_t = along_theta.basis(theta[block])
+        i_p, b_p = along_phi.basis(phi[block])
+        cells = flat[offsets + (n_c * i_p + i_t)].reshape(width, width, -1)
+        values[block] = ((cells * b_t).sum(axis=1) * b_p).sum(axis=0)
+    return out
+
+
+def _target_angles(map: MobiusMap, grid: SphericalGrid):
+    """theta' and phi' of every node's image under the map: the
+    components of mobius_point_map taken one at a time, in its operation
+    order (bitwise its values), with no (n_theta, n_phi, 3) temporaries."""
+    p, t, xyz = map.pole, map.t, grid.xyz
+    c = xyz @ p
+    D = (1.0 + c) + t * t * (1.0 - c)
+    radial = ((1.0 + c) - t * t * (1.0 - c)) / D
+    scale = 2.0 * t / D
+
+    def component(k):
+        return radial * p[k] + scale * (xyz[:, :, k] - c * p[k])
+
+    theta = np.arccos(np.clip(component(2), -1.0, 1.0))
+    phi = np.mod(np.arctan2(component(1), component(0)), 2.0 * np.pi)
+    return theta, phi
 
 
 def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
@@ -171,18 +322,18 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
     There is one fit: _meridian_spline, a not-a-knot quintic in theta of
     every pole-extended column.  Any pole off the grid axis extends it in
     phi to the tensor spline (_tensor_spline) and evaluates that at each
-    node's target.  A pole on the axis (+-e_z) moves every node along its
-    own meridian: phi' = phi, and theta' depends on theta alone.  At the
-    grid's own longitudes the phi factor reproduces its data, so the
-    tensor spline there is the meridian spline, and an axis pole
-    evaluates that at theta' directly.  If u is also zonal (stored as a
-    broadcast column, as bubble pairs, axis-pole factors and u = 0
-    are; see ScalarField), all its columns and their half-turns are one
-    column, so the axis pole fits and evaluates that column alone and
+    node's target (_tensor_values).  A pole on the axis (+-e_z) moves
+    every node along its own meridian: phi' = phi, and theta' depends on
+    theta alone.  At the grid's own longitudes the phi factor reproduces
+    its data, so the tensor spline there is the meridian spline, and an
+    axis pole evaluates that at theta' directly.  If u is also zonal
+    (stored as a broadcast column, as bubble pairs, axis-pole factors and
+    u = 0 are; see ScalarField), all its columns and their half-turns are
+    one column, so the axis pole fits and evaluates that column alone and
     broadcasts it over phi: bitwise the fit of every column.  At 256x512
     (one BLAS thread, 2 shared vCPUs) an axis-pole pullback takes about
-    4 ms (about 1 ms for a zonal u) and an off-axis one 110 ms, 90 ms of
-    it the evaluation at the targets.
+    4.5 ms (about 0.3 ms for a zonal u) and an off-axis one about 60 ms,
+    about 50 ms of it the B-splines and sums at the targets.
     """
     grid = u.grid
     _check_t(grid, map.t)
@@ -192,11 +343,7 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
         z = np.clip(mobius_point_map(map, grid.xyz[:, 0])[:, 2], -1.0, 1.0)
         composed = _meridian_spline(grid, _column(u.values))(np.arccos(z))
     else:
-        target = mobius_point_map(map, grid.xyz)
-        z = np.clip(target[:, :, 2], -1.0, 1.0)
-        theta_p = np.arccos(z)
-        phi_p = np.mod(np.arctan2(target[:, :, 1], target[:, :, 0]), 2.0 * np.pi)
-        composed = _tensor_spline(u)(np.stack((theta_p, phi_p), axis=-1))
+        composed = _tensor_values(grid, _tensor_spline(u), *_target_angles(map, grid))
     # taken after the fit, so it is not held through the fit's peak; an
     # axis factor is constant in phi, so it adds on one column
     w = mobius_factor(map, grid).values

@@ -307,10 +307,19 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     return ScalarField(grid, np.fft.irfft(F, n=grid.n_phi, axis=1) * grid.n_phi)
 
 
+@lru_cache(maxsize=16)
+def _laplacian_weights(L: int) -> np.ndarray:
+    """-l(l+1) of each flat coefficient index, read-only, one per L; the
+    l = 0 entry is +0.0 (negating _degree_weights would give -0.0)."""
+    l = degrees(L)
+    weights = -l * (l + 1.0)
+    weights.setflags(write=False)
+    return weights
+
+
 def laplacian(s: HarmonicSpectrum) -> HarmonicSpectrum:
     """Spectral Laplace-Beltrami operator: multiply c_lm by -l(l+1)."""
-    l = degrees(s.L)
-    return HarmonicSpectrum(L=s.L, coeff=-l * (l + 1.0) * s.coeff)
+    return HarmonicSpectrum(L=s.L, coeff=_laplacian_weights(s.L) * s.coeff)
 
 
 def dirichlet_energy(s: HarmonicSpectrum) -> float:

@@ -255,6 +255,132 @@ def test_zonal_axis_pullback_fits_one_column(shape, monkeypatch):
     assert fits == [grid.n_phi]
 
 
+# ------------------------------------------- pullback splines (numpy)
+#
+# scipy's make_interp_spline and NdBSpline are the oracles here: the
+# library fits and evaluates its splines with numpy alone
+
+def sites(grid):
+    """The meridian fit's pole-extended theta sites and the tensor fit's
+    period-extended phi sites."""
+    return (conformal._theta_interpolant(grid), conformal._phi_interpolant(grid))
+
+
+def extended_sites(grid):
+    pt, pp = min(6, grid.n_theta), min(6, grid.n_phi)
+    theta = np.concatenate([-grid.theta[:pt][::-1], grid.theta,
+                            2.0 * np.pi - grid.theta[-pt:][::-1]])
+    phi = np.concatenate([grid.phi[-pp:] - 2.0 * np.pi, grid.phi,
+                          grid.phi[:pp] + 2.0 * np.pi])
+    return theta, phi
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (65, 130), (256, 512)])
+def test_spline_fit_matches_make_interp_spline(shape):
+    # knots bitwise, coefficients to 1e-13 relative, on random columns
+    # and on the pole-extended columns of a smooth field
+    from scipy.interpolate import make_interp_spline
+
+    grid = build_grid(*shape)
+    rng = np.random.default_rng(shape[0])
+    for fit, x in zip(sites(grid), extended_sites(grid)):
+        y = rng.standard_normal((x.size, 7))
+        oracle = make_interp_spline(x, y, k=5)
+        assert fit.knots.tobytes() == oracle.t.tobytes()
+        assert rel_err(fit.solve(y), oracle.c) <= 1e-13
+    f = synthesize_random(grid, L=min(8, max_degree(grid)), scale=0.3, seed=1)
+    ours = _meridian_spline(grid, f.values).c
+    pt = min(6, grid.n_theta)
+    rolled = np.roll(f.values, grid.n_phi // 2, axis=1)
+    stacked = np.vstack([rolled[:pt][::-1], f.values, rolled[-pt:][::-1]])
+    oracle = make_interp_spline(extended_sites(grid)[0], stacked, k=5)
+    assert rel_err(ours, oracle.c) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (65, 130), (256, 512)])
+def test_spline_fit_of_a_column_does_not_depend_on_the_others(shape):
+    # one column (Python floats) and many (numpy rows) run the same
+    # arithmetic, so each column's coefficients are bitwise the same
+    grid = build_grid(*shape)
+    rng = np.random.default_rng(7)
+    for fit in sites(grid):
+        m = len(fit.knots) - 6
+        y = rng.standard_normal((m, 5))
+        many = fit.solve(y)
+        same = fit.solve(np.repeat(y[:, :1], 4, axis=1))
+        for j in range(5):
+            one = fit.solve(y[:, j:j + 1])
+            assert one.shape == (m, 1)
+            assert one.tobytes() == np.ascontiguousarray(many[:, j:j + 1]).tobytes()
+        assert all(same[:, j].tobytes() == fit.solve(y[:, :1])[:, 0].tobytes()
+                   for j in range(4))
+        assert not np.shares_memory(many, y)
+
+
+def test_spline_fit_on_the_tall_rule(grid_tall):
+    # the 24576-node meridian: a one-column fit in O(n_theta) memory that
+    # matches scipy; every row of L and U keeps at most six entries
+    from scipy.interpolate import make_interp_spline
+
+    fit = conformal._theta_interpolant(grid_tall)
+    x = extended_sites(grid_tall)[0]
+    y = np.random.default_rng(3).standard_normal((x.size, 1))
+    oracle = make_interp_spline(x, y, k=5)
+    assert fit.knots.tobytes() == oracle.t.tobytes()
+    assert rel_err(fit.solve(y), oracle.c) <= 1e-13
+    assert max(len(mults) for _, mults in fit.lower) <= 5
+    assert max(len(ups) for _, ups in fit.upper) <= 5
+    assert len(fit.lower) == len(fit.upper) == x.size
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (65, 130), (256, 512)])
+def test_tensor_evaluator_matches_ndbspline(shape):
+    # the same coefficients evaluated by NdBSpline: at random points, at
+    # every knot pair of a subsample, and at both ends of each axis
+    from scipy.interpolate import NdBSpline
+
+    grid = build_grid(*shape)
+    fit_t, fit_p = sites(grid)
+    rng = np.random.default_rng(shape[0])
+    coeff = rng.standard_normal((len(fit_p.knots) - 6, len(fit_t.knots) - 6))
+    oracle = NdBSpline((fit_t.knots, fit_p.knots), coeff.T, 5)
+    x_t, x_p = extended_sites(grid)
+    knots_t = fit_t.knots[::max(1, fit_t.knots.size // 40)]
+    knots_p = fit_p.knots[::max(1, fit_p.knots.size // 40)]
+    ends_t = np.array([x_t[0], x_t[-1], 0.0, np.pi])
+    ends_p = np.array([x_p[0], x_p[-1], 0.0, 2.0 * np.pi])
+    for theta, phi in (
+            (rng.uniform(x_t[0], x_t[-1], 5000), rng.uniform(x_p[0], x_p[-1], 5000)),
+            np.meshgrid(knots_t, knots_p, indexing="ij"),
+            np.meshgrid(ends_t, ends_p, indexing="ij")):
+        ours = conformal._tensor_values(grid, coeff, theta, phi)
+        assert ours.shape == np.shape(theta)
+        expect = oracle(np.stack((theta, phi), axis=-1))
+        assert rel_err(ours, expect) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(64, 128), (65, 130)])
+def test_target_angles_are_the_point_map_bitwise(shape):
+    # theta' and phi' taken component by component keep the bits of the
+    # stacked point map they replace
+    grid = build_grid(*shape)
+    rng = np.random.default_rng(29)
+    poles = [p / np.linalg.norm(p) for p in rng.standard_normal((4, 3))]
+    for pole in poles + [np.array([0.6, 0.0, 0.8]), SOUTH]:
+        for t in (1.5, 3.0, 8.0):
+            m = MobiusMap(pole, t)
+            target = mobius_point_map(m, grid.xyz)
+            theta = np.arccos(np.clip(target[:, :, 2], -1.0, 1.0))
+            phi = np.mod(np.arctan2(target[:, :, 1], target[:, :, 0]), 2.0 * np.pi)
+            ours = conformal._target_angles(m, grid)
+            assert ours[0].tobytes() == theta.tobytes()
+            assert ours[1].tobytes() == phi.tobytes()
+
+
 def test_pullback_requires_even_n_phi():
     # the half-turn across the poles is a column roll on both paths; u = 0
     # is zonal, so on the axis pole it checks the one-column fit too

@@ -176,6 +176,21 @@ def test_dirichlet_energy_weights_are_the_old_expression_bitwise(L):
     assert np.float64(dirichlet_energy(s)).tobytes() == np.float64(old).tobytes()
 
 
+@pytest.mark.parametrize("L", [0, 1, 16, 254])
+def test_laplacian_weights_are_the_old_expression_bitwise(L):
+    # the cached read-only -l(l+1) gives the bits of building it per call,
+    # the l = 0 factor +0.0 included (a -0.0 there flips the sign of a zero
+    # output coefficient)
+    s = HarmonicSpectrum(L=L, coeff=np.random.default_rng(L).standard_normal(
+        (L + 1) ** 2))
+    l = harmonics.degrees(L)
+    weights = harmonics._laplacian_weights(L)
+    assert weights is harmonics._laplacian_weights(L)
+    assert not weights.flags.writeable
+    assert weights.tobytes() == (-l * (l + 1.0)).tobytes()
+    assert laplacian(s).coeff.tobytes() == (-l * (l + 1.0) * s.coeff).tobytes()
+
+
 def test_dirichlet_energy_properties(grid_default):
     assert dirichlet_energy(HarmonicSpectrum(L=0, coeff=np.array([2.0]))) == 0.0
     rng = np.random.default_rng(9)

@@ -551,9 +551,10 @@ def test_package_all_lists_resolvable_non_module_names():
 
 
 def test_evaluate_loads_neither_scipy_interpolate_nor_integrate():
-    # only the pullback's splines and the expansion report use them, and
-    # they are most of the package's import time; a fresh interpreter
-    # shows what importing sphere_mt and running evaluate loads
+    # only the expansion report loads scipy.integrate, nothing in the
+    # package loads scipy.interpolate, and both are most of scipy's import
+    # time; a fresh interpreter shows what importing sphere_mt and running
+    # evaluate loads
     import sphere_mt
 
     src = str(Path(sphere_mt.__file__).resolve().parents[1])
@@ -561,6 +562,35 @@ def test_evaluate_loads_neither_scipy_interpolate_nor_integrate():
             "from sphere_mt.cli import main\n"
             "assert main(['evaluate']) == 0\n"
             "loaded = [m for m in ('scipy.interpolate', 'scipy.integrate')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_check_and_pullbacks_load_neither_scipy_interpolate_nor_linalg():
+    # the pullback splines are numpy banded fits: check (whose pullback
+    # is zonal), an axis pullback of a bubble pair and an off-axis
+    # pullback load no scipy.interpolate, nor scipy.linalg in its place
+    import sphere_mt
+
+    src = str(Path(sphere_mt.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from sphere_mt import (MobiusMap, bubble_pair, build_grid,\n"
+            "                       mobius_factor, mobius_pullback)\n"
+            "from sphere_mt.cli import main\n"
+            "assert main(['check']) == 0\n"
+            "g = build_grid(64, 128)\n"
+            "north = MobiusMap(np.array([0.0, 0.0, 1.0]), 2.0)\n"
+            "mobius_pullback(bubble_pair(2.0, g).field, north)\n"
+            "tilted = MobiusMap(np.array([1.0, 2.0, 2.0]) / 3.0, 1.5)\n"
+            "mobius_pullback(mobius_factor(tilted, g), MobiusMap(\n"
+            "    np.array([0.6, 0.0, 0.8]), 2.0))\n"
+            "loaded = [m for m in ('scipy.interpolate', 'scipy.linalg')\n"
             "          if m in sys.modules]\n"
             "assert not loaded, loaded\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
