@@ -116,12 +116,16 @@ def mobius_point_map(map: MobiusMap, xyz: np.ndarray) -> np.ndarray:
         D = (1+c) + t^2 (1-c),  c = p . x.
     """
     p = map.pole
+    c, radial, scale = _point_map_factors(map, xyz)
+    return radial[..., None] * p + scale[..., None] * (xyz - c[..., None] * p)
+
+
+def _point_map_factors(map: MobiusMap, xyz: np.ndarray):
+    """c = p . x and the factors of p and of x - c p in mobius_point_map."""
     t = map.t
-    c = xyz @ p
+    c = xyz @ map.pole
     D = (1.0 + c) + t * t * (1.0 - c)
-    radial = ((1.0 + c) - t * t * (1.0 - c)) / D
-    out = radial[..., None] * p + (2.0 * t / D)[..., None] * (xyz - c[..., None] * p)
-    return out
+    return c, ((1.0 + c) - t * t * (1.0 - c)) / D, 2.0 * t / D
 
 
 class _Interpolant:
@@ -298,11 +302,8 @@ def _target_angles(map: MobiusMap, grid: SphericalGrid):
     """theta' and phi' of every node's image under the map: the
     components of mobius_point_map taken one at a time, in its operation
     order (bitwise its values), with no (n_theta, n_phi, 3) temporaries."""
-    p, t, xyz = map.pole, map.t, grid.xyz
-    c = xyz @ p
-    D = (1.0 + c) + t * t * (1.0 - c)
-    radial = ((1.0 + c) - t * t * (1.0 - c)) / D
-    scale = 2.0 * t / D
+    p, xyz = map.pole, grid.xyz
+    c, radial, scale = _point_map_factors(map, xyz)
 
     def component(k):
         return radial * p[k] + scale * (xyz[:, :, k] - c * p[k])

@@ -103,7 +103,10 @@ def flat_index(l: int, m: int) -> int:
 class HarmonicSpectrum:
     """Real spherical-harmonic coefficients up to degree L.
 
-    coeff is flat with layout l*l + l + m, length (L+1)^2.
+    coeff is flat with layout l*l + l + m, length (L+1)^2, and read-only.
+    The given array is copied unless it is already read-only and owns its
+    data, as the fresh results of analyze and laplacian are (_frozen): a
+    copy of those only doubled their allocation, 0.5 MB at L = 254.
     """
 
     L: int
@@ -116,13 +119,21 @@ class HarmonicSpectrum:
             raise ValueError(f"expected {n} coefficients for L={self.L}, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite spectral coefficient")
-        c = c.copy()
-        c.setflags(write=False)
+        if c.flags.writeable or not c.flags.owndata:
+            c = c.copy()
+            c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
 
     def __getitem__(self, lm) -> float:
         l, m = lm
         return float(self.coeff[flat_index(l, m)])
+
+
+def _frozen(coeff: np.ndarray) -> np.ndarray:
+    """A coefficient array just built, made read-only in place, so that
+    HarmonicSpectrum holds it without a copy."""
+    coeff.setflags(write=False)
+    return coeff
 
 
 def _legendre_offsets(grid: SphericalGrid, L: int, orders: int):
@@ -255,7 +266,7 @@ def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
         coeff = np.zeros((L + 1) ** 2)
         coeff[zonal[0::2]] = even @ p[:, 0::2]
         coeff[zonal[1::2]] = odd @ p[:, 1::2]
-        return HarmonicSpectrum(L=L, coeff=coeff)
+        return HarmonicSpectrum(L=L, coeff=_frozen(coeff))
 
     slabs = _legendre_tables(grid, L)
     # (re, im) of sum_k w_j f_jk e^{-i m phi_k}: the weighted cos and -sin
@@ -270,7 +281,7 @@ def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
     eo[:nh, :, 1] -= south
     lanes = eo.reshape(h, L + 1, 4).transpose(1, 2, 0)[pair_m]
     prod = np.matmul(lanes.reshape(-1, 8, h), slabs)
-    return HarmonicSpectrum(L=L, coeff=prod.reshape(-1)[flat] * scale)
+    return HarmonicSpectrum(L=L, coeff=_frozen(prod.reshape(-1)[flat] * scale))
 
 
 def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
@@ -319,7 +330,7 @@ def _laplacian_weights(L: int) -> np.ndarray:
 
 def laplacian(s: HarmonicSpectrum) -> HarmonicSpectrum:
     """Spectral Laplace-Beltrami operator: multiply c_lm by -l(l+1)."""
-    return HarmonicSpectrum(L=s.L, coeff=_laplacian_weights(s.L) * s.coeff)
+    return HarmonicSpectrum(L=s.L, coeff=_frozen(_laplacian_weights(s.L) * s.coeff))
 
 
 def dirichlet_energy(s: HarmonicSpectrum) -> float:

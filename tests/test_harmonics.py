@@ -176,6 +176,27 @@ def test_dirichlet_energy_weights_are_the_old_expression_bitwise(L):
     assert np.float64(dirichlet_energy(s)).tobytes() == np.float64(old).tobytes()
 
 
+def test_spectrum_copies_only_arrays_it_cannot_hold(grid_small):
+    # a writeable array or a read-only view is copied, so later writes to
+    # it do not reach the spectrum; the transforms' fresh read-only
+    # results are held as they are
+    c = np.arange(16.0)
+    s = HarmonicSpectrum(L=3, coeff=c)
+    c[0] = 99.0
+    assert s.coeff[0] == 0.0 and not s.coeff.flags.writeable
+    base = np.arange(16.0)
+    view = base[:]
+    view.setflags(write=False)
+    s = HarmonicSpectrum(L=3, coeff=view)
+    base[1] = 99.0
+    assert s.coeff[1] == 1.0
+    f = ScalarField(grid_small, grid_small.xyz[:, :, 0])
+    zonal = ScalarField(grid_small, np.full((24, 48), 2.0))
+    for spec in (analyze(f, 4), analyze(zonal, 4), laplacian(analyze(f, 4))):
+        assert not spec.coeff.flags.writeable
+        assert HarmonicSpectrum(L=4, coeff=spec.coeff).coeff is spec.coeff
+
+
 @pytest.mark.parametrize("L", [0, 1, 16, 254])
 def test_laplacian_weights_are_the_old_expression_bitwise(L):
     # the cached read-only -l(l+1) gives the bits of building it per call,
