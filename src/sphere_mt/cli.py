@@ -33,8 +33,7 @@ import numpy as np
 
 from . import __version__
 from . import conformal, functional, harmonics, optimize
-from .errors import (FormatError, GridSizeError, InvariantViolation,
-                     NonFiniteFieldError, RangeOverflowError, ResolutionError)
+from .errors import FormatError, InvariantViolation, RangeOverflowError
 from .grid import FOUR_PI, ScalarField, _column, build_grid, integrate_values
 from .io import read_field, report_json, write_csv, write_field, write_report
 
@@ -394,7 +393,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except (GridSizeError, ResolutionError, NonFiniteFieldError, ValueError) as exc:
+    except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -373,7 +373,6 @@ def bubble_pair(t: float, grid: SphericalGrid) -> BubblePairField:
     moment cancels to roundoff on antipodal nodes: n_phi is even, and
     every SphericalGrid is mirror-symmetric in cos(theta).
     """
-    _check_t(grid, t)
     if grid.n_phi % 2 != 0:
         raise ResolutionError("bubble_pair requires even n_phi for exact "
                               "antipodal node remapping")

@@ -24,17 +24,8 @@ class NonFiniteFieldError(SphereMTError, ValueError):
 
 
 class RangeOverflowError(SphereMTError, ArithmeticError):
-    """A pointwise map (typically exp) overflowed double precision.
-
-    Carries the offending maximum input value and the node where it
-    occurs, so callers can treat it as a blow-up signal rather than a
-    crash.
-    """
-
-    def __init__(self, message, max_value=None, node=None):
-        super().__init__(message)
-        self.max_value = max_value
-        self.node = node
+    """A pointwise map (typically exp) overflowed double precision; the
+    message names the offending maximum input value and its node."""
 
 
 class InvariantViolation(SphereMTError):

@@ -61,8 +61,7 @@ def _exp2(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
         jt, jp = np.unravel_index(int(np.argmax(col)), col.shape)
         raise RangeOverflowError(
             f"exp(2u) overflows: max u = {col.max():.6g} at node "
-            f"(theta={grid.theta[jt]:.6f}, phi={grid.phi[jp]:.6f})",
-            max_value=col.max(), node=(int(jt), int(jp)))
+            f"(theta={grid.theta[jt]:.6f}, phi={grid.phi[jp]:.6f})")
     return np.broadcast_to(np.exp(two_u), (grid.n_theta, grid.n_phi))
 
 

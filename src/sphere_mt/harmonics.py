@@ -141,10 +141,11 @@ def _legendre_offsets(grid: SphericalGrid, L: int, orders: int):
     yield p_{m+d,m} at the northern GL nodes, one row per order
     m < min(orders, L + 1 - d), every order at once.
 
-    p_mm comes from the sequential product in m, p_{m+1,m} from
-    sqrt(2m+3) x p_mm, and each later offset from the three-term step.
-    orders = L + 1 fills the slabs, orders = 1 the m = 0 table; each row
-    is computed elementwise, so it does not depend on orders bitwise.
+    p_mm comes from the sequential product in m and each later offset
+    from the three-term step, which at d = 1 has b = 0 and gives
+    p_{m+1,m} = sqrt(2m+3) x p_mm.  orders = L + 1 fills the slabs,
+    orders = 1 the m = 0 table; each row is computed elementwise, so it
+    does not depend on orders bitwise.
     """
     h = (grid.n_theta + 1) // 2
     x, s = grid.cos_theta[:h], np.sin(grid.theta[:h])
@@ -153,11 +154,8 @@ def _legendre_offsets(grid: SphericalGrid, L: int, orders: int):
     for m in range(orders - 1):
         pmm[m + 1] = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * pmm[m]
     yield pmm
-    n = min(orders, L)
-    p_prev, p_cur = pmm, np.sqrt(2.0 * np.arange(n) + 3.0)[:, None] * x * pmm[:n]
-    if L >= 1:
-        yield p_cur
-    for d in range(2, L + 1):
+    p_prev = p_cur = pmm
+    for d in range(1, L + 1):
         n = min(orders, L + 1 - d)
         m = np.arange(n)
         l = m + d
@@ -334,6 +332,9 @@ def laplacian(s: HarmonicSpectrum) -> HarmonicSpectrum:
 
 
 def dirichlet_energy(s: HarmonicSpectrum) -> float:
-    """integral |grad u|^2 = sum l(l+1) c_lm^2 (Parseval)."""
-    return float(np.sum(_degree_weights(s.L) * s.coeff ** 2))
+    """integral |grad u|^2 = sum l(l+1) c_lm^2 (Parseval), squared and
+    weighted in one buffer."""
+    sq = s.coeff * s.coeff
+    sq *= _degree_weights(s.L)
+    return float(np.sum(sq))
 

@@ -43,7 +43,7 @@ def _header(field: ScalarField, params: dict | None, payload_hash: str) -> dict:
 
 def write_field(path, field: ScalarField, params: dict | None = None) -> None:
     """Persist a field; write->read reproduces values bit-exactly."""
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(field.values, dtype="<f8")
     header = _header(field, params, hashlib.sha256(payload).hexdigest())
     with open(Path(path), "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -56,7 +56,8 @@ def read_field(path) -> ScalarField:
 
     The grid comes from build_grid's cache, so a read shares the one
     read-only grid of that shape with every other caller and pays a
-    Gauss-Legendre build only for a shape not built before.
+    Gauss-Legendre build only for a shape not built before.  The payload
+    is read through a view, so ScalarField's copy is its only copy.
     """
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
@@ -87,13 +88,13 @@ def read_field(path) -> ScalarField:
     if encoding != "binary":
         raise FormatError(f"unknown encoding {encoding!r}")
 
-    payload = data[newline + 1:]
+    payload = memoryview(data)[newline + 1:]
     if len(payload) != 8 * count:
         raise FormatError(
             f"payload length {len(payload)} != {8 * count} bytes")
     if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
         raise FormatError("payload hash mismatch (corrupted file)")
-    values = np.frombuffer(payload, dtype="<f8").astype(float)
+    values = np.frombuffer(payload, dtype="<f8")
 
     try:
         grid = build_grid(n_theta, n_phi)

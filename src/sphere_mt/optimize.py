@@ -14,8 +14,12 @@ s.y / y.(precond y) (sec. 7.2); a pair with s.y <= 0 is skipped.  Each
 outer iteration changes the objective, so it starts with empty memory and
 gamma reset.  A step tries alpha = 1 first, then Armijo backtracking; a
 two-loop direction that is not a descent direction drops the memory for
--gamma * precond * g.  Blow-up is detected operationally from iterate max
-and mass thresholds and reported as a status, never raised.
+-gamma * precond * g.  The preconditioner shapes the steps, not the
+stopping test: an inner loop stops once the L^2 norm of the spectral
+gradient is at most tol_grad, and that gradient is the EL residual's
+degree <= L part over 4 pi (1-eps) plus the moment terms.  Blow-up is
+detected operationally from iterate max and mass thresholds and
+reported as a status, never raised.
 
 The penalty schedule (MU0, MU_GROWTH), the blow-up thresholds
 (MAX_U_THRESHOLD, MASS_THRESHOLD) and the L-BFGS memory (LBFGS_MEMORY)
@@ -107,8 +111,9 @@ class TraceEntry:
 @dataclass(frozen=True)
 class MinimizeResult:
     """Outcome of a run: gauge-fixed minimizer, diagnostics, trace; the
-    EL residual takes -Lap u from coeff, l(l+1) c_lm at degree <= L, and
-    status "converged" does not bound it (see minimize)."""
+    EL residual takes -Lap u from coeff, l(l+1) c_lm at degree <= L.
+    Status "converged" bounds the spectral gradient's L^2 norm by
+    tol_grad and the violation by tol_constraint (see minimize)."""
 
     u_star: ScalarField = field(repr=False)
     value: float | None
@@ -270,20 +275,19 @@ def minimize(config: MinimizeConfig,
     shrink by a factor of 4 (Nocedal & Wright, Numerical Optimization,
     ch. 17: a satisfied constraint never needs a larger penalty).
     Inner iterations are L-BFGS steps in the Sobolev metric until the
-    preconditioned gradient norm falls below tol_grad: the direction is
-    -H g from the two-loop recursion over at most LBFGS_MEMORY pairs with
-    H0 = gamma * precond (gamma = 4 pi (1-eps) at the start of every outer
-    iteration, whose memory starts empty, then s.y / y.(precond y) after
-    each stored pair; pairs with s.y <= 0 are skipped), falling back to
-    -gamma * precond * g with the memory dropped if that is not a descent
-    direction.  Each step tries alpha = 1, then Armijo backtracking.
-    Returns converged / blowup_detected / iteration_cap;
-    evaluation overflow becomes blowup_detected.  converged bounds the
-    Sobolev-preconditioned gradient norm (by tol_grad) and the violation
-    (by tol_constraint), not the L^2 EL residual, which can stay above
-    1e-6.  The start is initial_coeff if given (the caller's array is not
-    modified), else the one config.init_kind describes; its constant mode
-    is set to zero.
+    spectral gradient's L^2 norm, sqrt(g.g), is at most tol_grad: the
+    direction is -H g from the two-loop recursion over at most
+    LBFGS_MEMORY pairs with H0 = gamma * precond (gamma = 4 pi (1-eps) at
+    the start of every outer iteration, whose memory starts empty, then
+    s.y / y.(precond y) after each stored pair; pairs with s.y <= 0 are
+    skipped), falling back to -gamma * precond * g with the memory
+    dropped if that is not a descent direction.  Each step tries
+    alpha = 1, then Armijo backtracking.  Returns converged /
+    blowup_detected / iteration_cap; evaluation overflow becomes
+    blowup_detected.  converged bounds the spectral gradient's L^2 norm
+    (by tol_grad) and the violation (by tol_constraint).  The start is
+    initial_coeff if given (the caller's array is not modified), else the
+    one config.init_kind describes; its constant mode is set to zero.
     """
     ws = _Workspace(config)
     start = _initial_coeff(ws, config) if initial_coeff is None else initial_coeff
@@ -309,7 +313,7 @@ def minimize(config: MinimizeConfig,
         pairs = deque(maxlen=LBFGS_MEMORY)  # lambda or mu changed: reset
         gamma = FOUR_PI * (1.0 - config.eps)
         ghat = ws.gradient(coeff, st, lam, mu)
-        pnorm = float(np.sqrt(np.sum(ghat * ghat * ws.precond)))
+        pnorm = float(np.sqrt(ghat @ ghat))
         f_cur = ws.objective(st, lam, mu)
 
         while pnorm > config.tol_grad:
@@ -323,17 +327,15 @@ def minimize(config: MinimizeConfig,
                 direction = -gamma * ws.precond * ghat
                 slope = float(ghat @ direction)
             alpha = 1.0
-            accepted = False
             for _ in range(MAX_BACKTRACKS):
                 trial = coeff + alpha * direction
                 st_trial = ws.state(trial)
                 f_trial = (np.inf if st_trial[2] is None
                            else ws.objective(st_trial, lam, mu))
                 if f_trial <= f_cur + ARMIJO_C1 * alpha * slope:
-                    accepted = True
                     break
                 alpha *= ARMIJO_BACKTRACK
-            if not accepted:
+            else:
                 stop_reason = "line_search_failed"
                 break
             step = trial - coeff
@@ -350,7 +352,7 @@ def minimize(config: MinimizeConfig,
                 pairs.append((step, dgrad))
                 gamma = sy / float(dgrad @ (ws.precond * dgrad))
             ghat = ghat_new
-            pnorm = float(np.sqrt(np.sum(ghat * ghat * ws.precond)))
+            pnorm = float(np.sqrt(ghat @ ghat))
 
         entry = _trace_entry(ws, outer, st, lam, mu, pnorm, inner_iters,
                              stop_reason)

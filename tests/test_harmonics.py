@@ -212,6 +212,41 @@ def test_laplacian_weights_are_the_old_expression_bitwise(L):
     assert laplacian(s).coeff.tobytes() == (-l * (l + 1.0) * s.coeff).tobytes()
 
 
+@pytest.mark.parametrize("L", [0, 1, 16, 254])
+def test_dirichlet_energy_is_the_weighted_sum_bitwise(L):
+    # squaring and weighting in one buffer keeps the bits of summing
+    # l(l+1) * c**2 formed as two arrays, for a full and a zonal spectrum
+    rng = np.random.default_rng(L + 1)
+    full = rng.standard_normal((L + 1) ** 2)
+    zonal = np.zeros_like(full)
+    zonal[[flat_index(l, 0) for l in range(L + 1)]] = rng.standard_normal(L + 1)
+    for c in (full, zonal):
+        s = HarmonicSpectrum(L=L, coeff=c)
+        want = float(np.sum(harmonics._degree_weights(L) * s.coeff ** 2))
+        got = dirichlet_energy(s)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("n_theta", [34, 35])
+@pytest.mark.parametrize("L", [0, 1, 2, 16])
+def test_legendre_first_offset_is_the_closed_form_bitwise(n_theta, L):
+    # the three-term step at d = l - m = 1 has b = 0, so its rows are
+    # sqrt(2m + 3) x p_mm bit for bit, for the slabs' orders and for the
+    # m = 0 table's one order, on even and odd grids
+    grid = build_grid(n_theta, 70)
+    x = grid.cos_theta[: (n_theta + 1) // 2]
+    for orders in (1, L + 1):
+        rows = list(harmonics._legendre_offsets(grid, L, orders))
+        assert len(rows) == L + 1
+        if L == 0:
+            continue
+        pmm, first = rows[0], rows[1]
+        n = min(orders, L)
+        closed = np.sqrt(2.0 * np.arange(n) + 3.0)[:, None] * x * pmm[:n]
+        assert first.shape == closed.shape
+        assert first.tobytes() == closed.tobytes()
+
+
 def test_dirichlet_energy_properties(grid_default):
     assert dirichlet_energy(HarmonicSpectrum(L=0, coeff=np.array([2.0]))) == 0.0
     rng = np.random.default_rng(9)

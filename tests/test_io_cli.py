@@ -54,6 +54,53 @@ def test_zonal_field_file_is_the_full_grid_and_reads_back_zonal(tmp_path):
         assert back.values.tobytes() == f.values.tobytes()
 
 
+def test_field_file_is_the_header_line_and_the_values(tmp_path):
+    # the file is the sorted JSON header, a newline and the values as
+    # little-endian float64, for a full and for a zonal field
+    from sphere_mt import bubble_pair
+    g = build_grid(24, 48)
+    full = ScalarField(g, np.random.default_rng(5).standard_normal((24, 48)))
+    for f in (full, bubble_pair(2.5, g).field):
+        path = tmp_path / "f.field.bin"
+        write_field(path, f, params={"t": 2.5})
+        values = f.values.astype("<f8").tobytes()
+        header = {"format_version": 1, "kind": "field", "encoding": "binary",
+                  "n_theta": 24, "n_phi": 48, "count": 24 * 48,
+                  "params": {"t": 2.5},
+                  "sha256": hashlib.sha256(values).hexdigest()}
+        assert path.read_bytes() == (json.dumps(header, sort_keys=True)
+                                     .encode() + b"\n" + values)
+        back = read_field(path)
+        assert back.values.tobytes() == f.values.tobytes()
+        assert back.values.strides == f.values.strides
+
+
+def test_field_io_holds_one_copy_of_the_payload(tmp_path):
+    # read_field views the payload of the file's bytes, so the field's own
+    # copy is the only other one; write_field hashes and writes the
+    # contiguous values themselves, which a zonal field must form once
+    import tracemalloc
+    from sphere_mt import bubble_pair
+    g = build_grid(128, 256)
+    nbytes = 8 * g.n_nodes
+    full = ScalarField(g, np.random.default_rng(6).standard_normal((128, 256)))
+    for f, write_bound in ((full, 0.5), (bubble_pair(3.0, g).field, 1.5)):
+        path = tmp_path / "f.field.bin"
+        write_field(path, f)
+        read_field(path)  # warm every cache first
+        tracemalloc.start()
+        try:
+            write_field(path, f)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            read_field(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert write_peak < write_bound * nbytes
+        assert read_peak < 2.5 * nbytes
+
+
 def test_json_encoded_field_is_a_format_error(tmp_path, sample_field, capsys):
     # binary is the only FieldFile encoding: a header line that embeds the
     # values (numeric or not) and no payload is malformed input
@@ -277,6 +324,15 @@ def test_cli_check_rejects_unresolvable_degree(capsys):
     assert main(["evaluate", "--n-theta", "0", "--n-phi", "0"]) == 2
     assert main(["evaluate", "--n-phi", "0"]) == 2
     assert main(["minimize", "--eps", "0.2", "--n-theta", "0"]) == 2
+
+
+def test_cli_bubble_pair_preconditions_exit_2(capsys):
+    # an odd n_phi is named before an unresolved dilation; each exits 2
+    argv = ["evaluate", "--make-bubble-pair", "100", "--n-theta", "24"]
+    assert main(argv + ["--n-phi", "47"]) == 2
+    assert "requires even n_phi" in capsys.readouterr().err
+    assert main(argv + ["--n-phi", "48"]) == 2
+    assert "exceeds resolvable bound" in capsys.readouterr().err
 
 
 # Malformed run parameters, non-finite numbers and missing files: each is

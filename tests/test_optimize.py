@@ -47,6 +47,20 @@ def test_zero_init_converges_at_the_feasible_stationary_point():
     assert res.trace[-1].stop_reason == "grad_tol"
 
 
+def test_converged_ladder_bounds_the_el_residual():
+    # on this start the Sobolev-preconditioned gradient norm falls below
+    # tol_grad while the EL residual is still 1.03e-6; the inner loops stop
+    # on the gradient's L^2 norm, so every converged rung is below 1e-6
+    config = MinimizeConfig(eps=0.4, L=16, n_theta=64, n_phi=128,
+                            init_kind="random", init_seed=613328449,
+                            init_scale=0.1)
+    cont = continuation([0.4, 0.3, 0.2, 0.1, 0.05], config)
+    for res in cont.results:
+        assert res.status == STATUS_CONVERGED
+        assert res.trace[-1].grad_norm <= config.tol_grad
+        assert res.el_residual_norm < 1e-6
+
+
 @pytest.mark.parametrize("c", [1e-8, 1e-6])
 def test_state_log_avg_exp_keeps_relative_accuracy_near_zero(c):
     # u = c Y_31: log avg exp(2u) = 2 c^2 / 4pi + O(c^4).  log(mass / 4pi)
