@@ -15,10 +15,10 @@ Every subcommand is deterministic given its flags and --seed; rerunning
 reproduces JSON/CSV output byte-for-byte on the same platform.
 
 The argparse tree is built once per process (build_parser is cached), so
-an in-process main(argv) only parses; a build costs more than the whole
-48x96 invariant suite.  check's zonal invariants run on one column: the
-curvature residual is a max over the columns of Delta w and exp(2w), and
-the total weight's ones and the pullback's u = 0 are stride-0 broadcasts.
+an in-process main(argv) only parses.  check's zonal invariants run on
+one column: the curvature residual is a max over the columns of
+Delta w and exp(2w), and the total weight's ones and the pullback's
+u = 0 are stride-0 broadcasts.
 """
 
 from __future__ import annotations

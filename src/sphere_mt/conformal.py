@@ -331,10 +331,7 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
     (stored as a broadcast column, as bubble pairs, axis-pole factors and
     u = 0 are; see ScalarField), all its columns and their half-turns are
     one column, so the axis pole fits and evaluates that column alone and
-    broadcasts it over phi: bitwise the fit of every column.  At 256x512
-    (one BLAS thread, 2 shared vCPUs) an axis-pole pullback takes about
-    4.5 ms (about 0.3 ms for a zonal u) and an off-axis one about 60 ms,
-    about 50 ms of it the B-splines and sums at the targets.
+    broadcasts it over phi: bitwise the fit of every column.
     """
     grid = u.grid
     _check_t(grid, map.t)

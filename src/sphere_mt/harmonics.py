@@ -38,8 +38,8 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   over all slabs, (8 x nodes)(nodes x rows) or (8 x rows)(rows x nodes),
   plus one gather (analysis) or scatter (synthesis) between the lanes
   and the flat l*l + l + m layout.  The node axis sits in the middle
-  because OpenBLAS runs both products in that orientation about twice
-  as fast as a (rows x nodes)(nodes x 8) one.
+  because OpenBLAS runs both products faster in that orientation than
+  as a (rows x nodes)(nodes x 8) one.
 * Zonal fields.  The bubble pairs, axis-pole Moebius factors and their
   pullbacks, the two-pole Green function and u = 0 are axisymmetric,
   so their rows are constant in phi, and ScalarField stores them as
@@ -51,8 +51,7 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   0 the same way, to one column broadcast over phi.  The m = 0 table is
   filled by the slabs' recurrence restricted to order 0, so it is
   bitwise slab 0's columns 0..L, and zonal work never builds the
-  paired-m slabs: at 256x512, L = 254 those are 34 MB and the m = 0
-  table 0.26 MB.  Both skip the FFT, the lanes and the slab product.
+  paired-m slabs.  Both skip the FFT, the lanes and the slab product.
 """
 
 from __future__ import annotations
@@ -105,8 +104,8 @@ class HarmonicSpectrum:
 
     coeff is flat with layout l*l + l + m, length (L+1)^2, and read-only.
     The given array is copied unless it is already read-only and owns its
-    data, as the fresh results of analyze and laplacian are (_frozen): a
-    copy of those only doubled their allocation, 0.5 MB at L = 254.
+    data, as the fresh results of analyze and laplacian are (_frozen), so
+    those are held without a second allocation.
     """
 
     L: int

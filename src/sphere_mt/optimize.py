@@ -164,8 +164,9 @@ class _Workspace:
         diagonal l(l+1) c_lm / (4 pi (1-eps)) in coefficient space.  A
         zonal exp(2u) is worked on its column, its z term on z's column.
         Its x and y moments are exactly 0, so while lam_x and lam_y are 0
-        too their weights are 0 and g stays a zonal broadcast; a nonzero
-        x or y weight takes the full xyz slice.
+        too their weights are 0 and g stays a zonal broadcast (a zonal
+        start stays zonal through every rung); a nonzero x or y weight
+        takes the full xyz slice.
         """
         eps = self.config.eps
         _, e2u, report = st
