@@ -13,7 +13,7 @@ The Gauss-Legendre rule comes from one generator at every size,
 Tricomi's initial guess (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
 Working in theta keeps the nodes and weights accurate near the poles,
 where x = cos(theta) is close to 1, and costs O(n) per Newton step.
-``build_grid`` caches each shape, so a grid is built once per process.
+``build_grid`` caches the grids it builds (see build_grid).
 
 Grids compare and hash by identity, so a cache keyed by a grid never
 serves it the entries of another grid of the same shape, and a grid

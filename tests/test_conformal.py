@@ -492,9 +492,12 @@ def test_bubble_pair_energy_growth_rate():
 
 
 def test_bubble_pair_requires_even_n_phi():
+    # the parity check comes before the factors' dilation bound, so an odd
+    # n_phi is the error named even when t is beyond the bound as well
     g = build_grid(24, 47)
-    with pytest.raises(ResolutionError):
-        bubble_pair(2.0, g)
+    for t in (2.0, 4.0 * max_bubble_t(g)):
+        with pytest.raises(ResolutionError, match="requires even n_phi"):
+            bubble_pair(t, g)
 
 
 def test_bubble_pair_rejects_an_unresolved_dilation(grid_default):
@@ -502,14 +505,6 @@ def test_bubble_pair_rejects_an_unresolved_dilation(grid_default):
     t = max_bubble_t(grid_default) + 0.5
     with pytest.raises(ResolutionError, match="exceeds resolvable bound"):
         bubble_pair(t, grid_default)
-
-
-def test_bubble_pair_reports_odd_n_phi_before_the_dilation():
-    # the parity check comes before the factors, so an odd n_phi is the
-    # error named even when t is beyond the bound as well
-    g = build_grid(24, 47)
-    with pytest.raises(ResolutionError, match="requires even n_phi"):
-        bubble_pair(4.0 * max_bubble_t(g), g)
 
 
 # --------------------------------------------------------- planar bubble

@@ -326,15 +326,6 @@ def test_cli_check_rejects_unresolvable_degree(capsys):
     assert main(["minimize", "--eps", "0.2", "--n-theta", "0"]) == 2
 
 
-def test_cli_bubble_pair_preconditions_exit_2(capsys):
-    # an odd n_phi is named before an unresolved dilation; each exits 2
-    argv = ["evaluate", "--make-bubble-pair", "100", "--n-theta", "24"]
-    assert main(argv + ["--n-phi", "47"]) == 2
-    assert "requires even n_phi" in capsys.readouterr().err
-    assert main(argv + ["--n-phi", "48"]) == 2
-    assert "exceeds resolvable bound" in capsys.readouterr().err
-
-
 # Malformed run parameters, non-finite numbers and missing files: each is
 # a named error with its exit code, never a traceback or a printed result.
 _MISSING = "{missing}"
@@ -356,6 +347,10 @@ _MISSING = "{missing}"
     (["evaluate", "--eps", "1"], 2),
     (["evaluate", "--eps", "1.5"], 2),
     (["evaluate", "--alpha", "nan"], 2),
+    (["evaluate", "--make-bubble-pair", "100", "--n-theta", "24",
+      "--n-phi", "47"], 2),
+    (["evaluate", "--make-bubble-pair", "100", "--n-theta", "24",
+      "--n-phi", "48"], 2),
     (["sweep", "--alpha-list", "nan"], 2),
     (["sweep", "--t-max", "inf"], 2),
     (["expansion", "--t-list", "nan"], 2),
