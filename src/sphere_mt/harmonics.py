@@ -331,8 +331,7 @@ def laplacian(s: HarmonicSpectrum) -> HarmonicSpectrum:
 
 
 def dirichlet_energy(s: HarmonicSpectrum) -> float:
-    """integral |grad u|^2 = sum l(l+1) c_lm^2 (Parseval), squared and
-    weighted in one buffer."""
+    """integral |grad u|^2 = sum l(l+1) c_lm^2 (Parseval)."""
     sq = s.coeff * s.coeff
     sq *= _degree_weights(s.L)
     return float(np.sum(sq))

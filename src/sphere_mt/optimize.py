@@ -314,10 +314,10 @@ def minimize(config: MinimizeConfig,
         pairs = deque(maxlen=LBFGS_MEMORY)  # lambda or mu changed: reset
         gamma = FOUR_PI * (1.0 - config.eps)
         ghat = ws.gradient(coeff, st, lam, mu)
-        pnorm = float(np.sqrt(ghat @ ghat))
+        grad_norm = float(np.sqrt(ghat @ ghat))
         f_cur = ws.objective(st, lam, mu)
 
-        while pnorm > config.tol_grad:
+        while grad_norm > config.tol_grad:
             if inner_iters >= config.max_inner:
                 stop_reason = "inner_cap"
                 break
@@ -353,13 +353,13 @@ def minimize(config: MinimizeConfig,
                 pairs.append((step, dgrad))
                 gamma = sy / float(dgrad @ (ws.precond * dgrad))
             ghat = ghat_new
-            pnorm = float(np.sqrt(ghat @ ghat))
+            grad_norm = float(np.sqrt(ghat @ ghat))
 
-        entry = _trace_entry(ws, outer, st, lam, mu, pnorm, inner_iters,
+        entry = _trace_entry(ws, outer, st, lam, mu, grad_norm, inner_iters,
                              stop_reason)
         trace.append(entry)
         viol = entry.violation
-        if viol <= config.tol_constraint and pnorm <= config.tol_grad:
+        if viol <= config.tol_constraint and grad_norm <= config.tol_grad:
             status = STATUS_CONVERGED
             break
 
