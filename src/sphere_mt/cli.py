@@ -5,7 +5,8 @@ Exit codes are a total function of the outcome class:
 
     0   success
     1   invariant failure (cmd check)
-    2   precondition violation (grid sizes, degrees, dilations, values)
+    2   precondition violation (grid sizes, degrees, dilations, values,
+        a grid too large to allocate)
     3   file error (missing, unreadable or malformed)
     10  blow-up detected
     11  iteration cap reached
@@ -393,7 +394,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

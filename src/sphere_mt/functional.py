@@ -300,9 +300,16 @@ class ExpansionReport:
 
 
 def energy_expansion_report(t: float, R: float) -> ExpansionReport:
-    """Evaluate the energy-expansion diagnostics for dilation t, radius R."""
-    if not 0.0 < R < np.inf:
-        raise ValueError(f"radius R={R} must be finite and positive")
+    """Evaluate the energy-expansion diagnostics for dilation t, radius R.
+
+    Raises ValueError for an R whose R^2 underflows to 0 (D_value would be
+    -inf) or whose 2 pi R^2 overflows, and for one whose radial
+    quadrature QUADPACK reports as not converged (R = 1e60 and larger).
+    """
+    # in Python floats, which overflow to inf without a warning
+    R = float(R)
+    if not (0.0 < R and 0.0 < R * R and 2.0 * np.pi * R * R < np.inf):
+        raise ValueError(f"radius R={R} must be positive, R^2 > 0 and 2 pi R^2 < inf")
     if not 1.0 <= t < np.inf:
         raise ValueError(f"dilation t={t} must be finite and >= 1")
 
@@ -318,13 +325,17 @@ def energy_expansion_report(t: float, R: float) -> ExpansionReport:
         dphi = -8.0 * np.pi * r / (1.0 + 2.0 * np.pi * r * r)
         return 2.0 * np.pi * r * dphi * dphi
 
-    I1_numeric, _ = quad(integrand, 0.0, R, epsabs=1e-12, epsrel=1e-12, limit=200)
+    I1_numeric, _, _, *message = quad(integrand, 0.0, R, epsabs=1e-12,
+                                      epsrel=1e-12, limit=200, full_output=1)
+    if message:
+        raise ValueError(f"radial quadrature at R={R} did not converge: "
+                         f"{message[0].splitlines()[0].strip()}")
 
     lambda_peak = 2.0 * np.log(t) - np.log(8.0 * np.pi)
     D_value = (-lambda_peak + 2.0 * np.log(R * R / q)
                + 4.0 * (1.0 - np.log(2.0)))
     return ExpansionReport(
-        t=float(t), R=float(R), lambda_peak=lambda_peak,
+        t=float(t), R=R, lambda_peak=lambda_peak,
         I1_closed=I1_closed, I1_numeric=I1_numeric,
         I1_truncated=I1_truncated, truncation_gap=I1_closed - I1_truncated,
         D_value=D_value, core_mass=bubble_mass(R),

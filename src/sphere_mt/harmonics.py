@@ -48,10 +48,11 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   parity-folded Gauss-Legendre sum against a cached table of p_{l,0}
   at the northern nodes, with every m != 0 coefficient exactly 0.
   synthesize takes a spectrum whose m != 0 coefficients are all exactly
-  0 the same way, to one column broadcast over phi.  The m = 0 table is
-  filled by the slabs' recurrence restricted to order 0, so it is
-  bitwise slab 0's columns 0..L, and zonal work never builds the
-  paired-m slabs.  Both skip the FFT, the lanes and the slab product.
+  0 the same way, to one column broadcast over phi.  One fill builds
+  both tables: the slabs are its run over all L + 1 orders, and the
+  m = 0 table is slab 0's columns 0..L of its run over order 0 alone,
+  so it is bitwise the slabs' m = 0 rows and zonal work never builds
+  the paired-m slabs.  Both skip the FFT, the lanes and the slab product.
 """
 
 from __future__ import annotations
@@ -165,41 +166,40 @@ def _legendre_offsets(grid: SphericalGrid, L: int, orders: int):
         yield p_cur
 
 
-@lru_cache(maxsize=16)
-def _legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
-    """p_{l,m}(x_j) at the northern GL nodes, packed in paired-m slabs.
+def _legendre_fill(grid: SphericalGrid, L: int, orders: int) -> np.ndarray:
+    """The one fill of the paired-m slabs: p_{l,m}(x_j) at the northern
+    GL nodes for the first `orders` orders, read-only.
 
-    Shape (L//2 + 1, ceil(n_theta/2), L + 2), p_{l,m} in slab slab_m[m],
-    column col_m[m] + l - m of _slab_index; each offset d = l - m is
-    written in place for every m at once.  Raises ResolutionError or
-    ValueError for a degree the grid does not resolve; the check runs
-    on a cache miss only, since a cached (grid, L) has passed it.
+    Shape (min(orders, L//2 + 1), ceil(n_theta/2), L + 2), p_{l,m} in slab
+    slab_m[m], column col_m[m] + l - m of _slab_index; each offset
+    d = l - m is written in place for every order at once.  The callers
+    have checked L against the grid.
     """
-    _check_degree(grid, L)
     *_, slab_m, col_m = _slab_index(L)
-    slabs = np.zeros((L // 2 + 1, (grid.n_theta + 1) // 2, L + 2))
-    for d, p in enumerate(_legendre_offsets(grid, L, L + 1)):
+    slabs = np.zeros((min(orders, L // 2 + 1), (grid.n_theta + 1) // 2, L + 2))
+    for d, p in enumerate(_legendre_offsets(grid, L, orders)):
         slabs[slab_m[:len(p)], :, col_m[:len(p)] + d] = p
     slabs.setflags(write=False)
     return slabs
 
 
 @lru_cache(maxsize=16)
+def _legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
+    """The paired-m slabs of all L + 1 orders: _legendre_fill's whole table."""
+    return _legendre_fill(grid, L, L + 1)
+
+
+@lru_cache(maxsize=16)
 def _zonal_table(grid: SphericalGrid, L: int) -> np.ndarray:
     """p_{l,0}(x_j) at the northern GL nodes, shape (ceil(n_theta/2), L + 1):
-    the m = 0 rows of _legendre_offsets, bitwise slab 0's columns 0..L.
+    slab 0's columns 0..L of the fill for order 0 alone, so bitwise those
+    of _legendre_tables without building its other slabs.
 
-    The array is allocated L + 2 wide and sliced, so it has slab 0's row
-    stride: a contiguous (h, L + 1) array sends the parity products of
-    analyze and synthesize down another matmul path, which moves bits.
+    The slice keeps slab 0's L + 2 row stride: a contiguous (h, L + 1)
+    array sends the parity products of analyze and synthesize down
+    another matmul path, which moves bits.
     """
-    _check_degree(grid, L)
-    p0 = np.zeros(((grid.n_theta + 1) // 2, L + 2))
-    for l, p in enumerate(_legendre_offsets(grid, L, 1)):
-        p0[:, l] = p[0]
-    p0 = p0[:, : L + 1]
-    p0.setflags(write=False)
-    return p0
+    return _legendre_fill(grid, L, 1)[0, :, : L + 1]
 
 
 @lru_cache(maxsize=16)
@@ -315,19 +315,14 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     return ScalarField(grid, np.fft.irfft(F, n=grid.n_phi, axis=1) * grid.n_phi)
 
 
-@lru_cache(maxsize=16)
-def _laplacian_weights(L: int) -> np.ndarray:
-    """-l(l+1) of each flat coefficient index, read-only, one per L; the
-    l = 0 entry is +0.0 (negating _degree_weights would give -0.0)."""
-    l = degrees(L)
-    weights = -l * (l + 1.0)
-    weights.setflags(write=False)
-    return weights
-
-
 def laplacian(s: HarmonicSpectrum) -> HarmonicSpectrum:
-    """Spectral Laplace-Beltrami operator: multiply c_lm by -l(l+1)."""
-    return HarmonicSpectrum(L=s.L, coeff=_frozen(_laplacian_weights(s.L) * s.coeff))
+    """Spectral Laplace-Beltrami operator: multiply c_lm by -l(l+1).
+
+    The factor is 0.0 - l(l+1), which is +0.0 at l = 0: plain negation
+    of l(l+1) gives -0.0 there, which flips the sign of the zero output
+    coefficient at l = 0.
+    """
+    return HarmonicSpectrum(L=s.L, coeff=_frozen((0.0 - _degree_weights(s.L)) * s.coeff))
 
 
 def dirichlet_energy(s: HarmonicSpectrum) -> float:

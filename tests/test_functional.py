@@ -471,7 +471,7 @@ def test_expansion_obstruction_constant():
 
 
 def test_expansion_numeric_matches_closed_form():
-    for R in (0.5, 1.0, 5.0, 10.0):
+    for R in (0.5, 1.0, 5.0, 10.0, 1e50):
         rep = energy_expansion_report(2.0, R)
         assert rep.I1_numeric == pytest.approx(rep.I1_closed, rel=1e-6)
     rep1 = energy_expansion_report(2.0, 1.0)

@@ -353,8 +353,17 @@ _MISSING = "{missing}"
       "--n-phi", "48"], 2),
     (["sweep", "--alpha-list", "nan"], 2),
     (["sweep", "--t-max", "inf"], 2),
+    # grids too large to allocate: numpy refuses the 28.4 PiB node array
+    # before it touches memory
+    (["sweep", "--t-max", "1e15"], 2),
+    (["evaluate", "--n-theta", "8000000000000000", "--n-phi", "4"], 2),
     (["expansion", "--t-list", "nan"], 2),
     (["expansion", "--R-list", "inf"], 2),
+    # 2 pi R^2 overflows, R^2 underflows to 0, or QUADPACK does not converge
+    (["expansion", "--R-list", "1e200"], 2),
+    (["expansion", "--R-list", "1e-200"], 2),
+    (["expansion", "--R-list", "1e-162"], 2),
+    (["expansion", "--R-list", "1e100"], 2),
     (["evaluate", "--field", _MISSING], 3),
     (["check", "--field", _MISSING], 3),
     (["minimize", "--eps", "0.2", "--init", "file", "--init-file", _MISSING], 3),
