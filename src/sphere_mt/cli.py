@@ -77,8 +77,7 @@ def _check_suite(grid, L: int, seed: int):
     rng = np.random.default_rng(seed)
     shape = (grid.n_theta, grid.n_phi)
 
-    # a row sum of ones is exact in any order, so a broadcast 1 gives the
-    # bits of a full array of ones
+    # a broadcast 1 is zonal, so this is n_phi times the sum of the weights
     total = integrate_values(grid, np.broadcast_to(1.0, shape))
     yield ("quadrature.total_weight",
            abs(total - FOUR_PI) <= 1e-12 * FOUR_PI,

@@ -17,11 +17,14 @@ _log_avg_exp gives the functionals (evaluate and the optimizer) a
 log-average accurate at both ends of the mass.  Both take exp(2u) from
 _exp2, the one overflow guard, which kazdan_warner_residual and the
 CLI's conformal checks call for exp(2u) alone.  A zonal u (stored by
-ScalarField as a broadcast column) is exponentiated on its column, and
-its mass, z moment and log-average are row sums of broadcasts, bitwise
-those of the full grid; its x and y moments are exactly 0.0, the value
-of the uniform longitude rule, where full products give only roundoff
-(_first_moments, which kazdan_warner_residual shares).  One
+ScalarField as a broadcast column) is exponentiated on its column; its
+mass, z moment and log-average are integrals of broadcast columns,
+which integrate_values takes on the column; its x and y moments are
+exactly 0.0, the value of the uniform longitude rule, where full
+products give only roundoff (_first_moments, which
+kazdan_warner_residual shares); and its Dirichlet term and Laplacian
+come from its L + 1 m = 0 coefficients (_zonal_spectrum), so zonal
+work never forms a full grid or an (L+1)^2 spectrum.  One
 private constructor, _report, writes out J, I, the shifted I, I_alpha,
 I_eps and the normalized moments for evaluate and the optimizer; beside
 it, _residual forms the EL residual, its norm, zero-integral check and
@@ -71,9 +74,9 @@ def _first_moments(grid: SphericalGrid, f: np.ndarray) -> np.ndarray:
     A zonal f (stride 0 along phi) has x and y moments exactly 0.0: the
     uniform longitude rule sums cos(phi_k) and sin(phi_k) to 0 for every
     n_phi >= 4, and the full products would only give roundoff.  Its z
-    moment (z too is constant in phi) is the row sum of one column's
-    product, broadcast, bitwise that of the full grid.  Any other f
-    takes the three full products.
+    moment (z too is constant in phi) integrates one column's product,
+    broadcast, on that column.  Any other f takes the three full
+    products.
     """
     if _is_zonal(f):
         fz = np.broadcast_to(_column(f) * grid.xyz[:, :1, 2], f.shape)
@@ -109,9 +112,24 @@ def _log_avg_exp(grid: SphericalGrid, u: np.ndarray, mass: float) -> float:
     return float(np.log(mass / FOUR_PI))
 
 
+def _zonal_spectrum(u: ScalarField, L: int):
+    """A zonal u's m = 0 coefficients c_l, l = 0..L (ResolutionError for
+    an L above max_degree), and l(l+1) for each."""
+    l = np.arange(L + 1)
+    return harmonics._zonal_analysis(u.grid, u.values[:, 0], L), l * (l + 1.0)
+
+
 def _laplacian_values(u: ScalarField) -> np.ndarray:
-    spec = harmonics.analyze(u, harmonics.max_degree(u.grid))
-    return harmonics.synthesize(harmonics.laplacian(spec), u.grid).values
+    """Lap u at max_degree: synthesize(laplacian(analyze(u))), which on a
+    zonal u is its column's m = 0 coefficients times 0.0 - l(l+1),
+    bitwise, synthesized to one column and broadcast."""
+    grid, L = u.grid, harmonics.max_degree(u.grid)
+    if _is_zonal(u.values):
+        c, ll1 = _zonal_spectrum(u, L)
+        col = harmonics._zonal_synthesis(grid, (0.0 - ll1) * c)
+        return np.broadcast_to(col[:, None], u.values.shape)
+    spec = harmonics.analyze(u, L)
+    return harmonics.synthesize(harmonics.laplacian(spec), grid).values
 
 
 @dataclass(frozen=True)
@@ -169,17 +187,26 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     """Populate a FunctionalReport for the field u.
 
     The Dirichlet term is computed spectrally at degree L (defaults to
-    the grid's anti-aliasing bound); exp(2u) terms are pointwise.  alpha
-    must be finite and eps finite and below 1 (eps < 0 is admitted).
+    the grid's anti-aliasing bound): dirichlet_energy(analyze(u, L)), or
+    for a zonal u the sum of l(l+1) c_l^2 over its L + 1 m = 0
+    coefficients.  exp(2u) terms are pointwise.  alpha must be finite
+    and eps finite and below 1 (eps < 0 is admitted).
     """
     if alpha is not None and not np.isfinite(alpha):
         raise ValueError(f"alpha={alpha} is not finite")
     if eps is not None and not (-np.inf < eps < 1.0):
         raise ValueError(f"eps={eps} must be finite and below 1")
     grid = u.grid
+    L = harmonics.max_degree(grid) if L is None else L
     _, mass, moments = _exp2u(grid, u.values)
-    spec = harmonics.analyze(u, harmonics.max_degree(grid) if L is None else L)
-    return _report(harmonics.dirichlet_energy(spec) / FOUR_PI, average(u),
+    if _is_zonal(u.values):
+        c, ll1 = _zonal_spectrum(u, L)
+        sq = c * c
+        sq *= ll1
+        dirichlet = float(np.sum(sq))
+    else:
+        dirichlet = harmonics.dirichlet_energy(harmonics.analyze(u, L))
+    return _report(dirichlet / FOUR_PI, average(u),
                    _log_avg_exp(grid, u.values, mass), mass, moments, alpha, eps)
 
 
@@ -207,8 +234,8 @@ def _residual(grid: SphericalGrid, neg_lap_u: np.ndarray, e2u: np.ndarray,
 
     r is formed on the columns of zonal parts (either may also be given
     as its (n_theta, 1) column) and is broadcast to the grid, a full
-    array only when one part is; its integrals and its field take that
-    broadcast, bitwise those of the full-grid formula.
+    array only when one part is; its field takes that broadcast, and its
+    integrals are taken on its column when it is zonal.
     """
     shape = (grid.n_theta, grid.n_phi)
     col = _column(neg_lap_u) - 8.0 * np.pi * (1.0 - eps) * (
@@ -276,7 +303,9 @@ class ExpansionReport:
     """Closed-form and numeric pieces of the concentration energy expansion.
 
     I1_closed     exact antiderivative of the bubble-core Dirichlet energy:
-                  16 pi (ln(1 + 2 pi R^2) + 1/(1 + 2 pi R^2) - 1)
+                  16 pi (ln(1 + 2 pi R^2) + 1/(1 + 2 pi R^2) - 1), which
+                  for x = 2 pi R^2 < 1/2 is 16 pi sum_{k>=2} y^k / k,
+                  y = x / (1 + x)
     I1_numeric    radial quadrature of the same integral
     I1_truncated  the leading form 16 pi (ln(1 + 2 pi R^2) - 1)
     truncation_gap  I1_closed - I1_truncated = 16 pi / (1 + 2 pi R^2)
@@ -317,8 +346,17 @@ def energy_expansion_report(t: float, R: float) -> ExpansionReport:
     # report uses it, and evaluate, sweep and minimize should not load it
     from scipy.integrate import quad
 
-    q = 1.0 + 2.0 * np.pi * R * R
-    I1_closed = 16.0 * np.pi * (np.log(q) + 1.0 / q - 1.0)
+    x = 2.0 * np.pi * R * R
+    q = 1.0 + x
+    if x < 0.5:
+        # ln q + 1/q - 1 cancels once q rounds away the low digits of x;
+        # the series in y < 1/3 has converged to roundoff by y^40 / 40
+        y, core = x / q, 0.0
+        for k in range(40, 1, -1):
+            core = 1.0 / k + y * core
+        I1_closed = 16.0 * np.pi * (y * y * core)
+    else:
+        I1_closed = 16.0 * np.pi * (np.log(q) + 1.0 / q - 1.0)
     I1_truncated = 16.0 * np.pi * (np.log(q) - 1.0)
 
     def integrand(r):

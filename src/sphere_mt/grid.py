@@ -22,8 +22,9 @@ checks its mirror symmetry once, when it is built (see SphericalGrid).
 A zonal field (constant in phi, as bubble pairs, axis-pole factors, the
 Green field and u = 0 are) is stored as one column broadcast over phi,
 so building it and the work on it cost one column (see ScalarField).
-Reduce field values only through integrate_values: its row sums along
-phi are bitwise those of the full array, a whole-array sum is not.
+Reduce field values only through integrate_values, which integrates a
+zonal field on its column: n_phi sum_j w_j c_j, one dot whose bits do
+not depend on how the column is strided.
 """
 
 from __future__ import annotations
@@ -266,8 +267,12 @@ def average(f: ScalarField) -> float:
 def integrate_values(grid: SphericalGrid, values: np.ndarray) -> float:
     """integrate() for a raw (n_theta, n_phi) array; no finiteness check.
 
-    It sums each row along phi, which gives a zonal broadcast the bits of
-    its contiguous copy (a test pins this for numpy upgrades).
+    A zonal (stride-0) array is n_phi sum_j w_j c_j over its column c: one
+    dot, with c made contiguous first, since BLAS ddot gives a strided
+    vector other bits.  Any other array sums each row along phi first.
     """
+    if _is_zonal(values):
+        col = np.ascontiguousarray(values[:, 0])
+        return float(grid.n_phi * np.dot(grid.weight, col))
     return float(np.dot(grid.weight, values.sum(axis=1)))
 

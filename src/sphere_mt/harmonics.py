@@ -48,7 +48,11 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   parity-folded Gauss-Legendre sum against a cached table of p_{l,0}
   at the northern nodes, with every m != 0 coefficient exactly 0.
   synthesize takes a spectrum whose m != 0 coefficients are all exactly
-  0 the same way, to one column broadcast over phi.  One fill builds
+  0 the same way, to one column broadcast over phi.  Two column kernels
+  do this work, _zonal_analysis (column to its L + 1 m = 0
+  coefficients) and _zonal_synthesis (back), and functional calls them
+  itself for a zonal field's Dirichlet term and Laplacian, so those
+  never form the (L+1)^2 spectrum.  One fill builds
   both tables: the slabs are its run over all L + 1 orders, and the
   m = 0 table is slab 0's columns 0..L of its run over order 0 alone,
   so it is bitwise the slabs' m = 0 rows and zonal work never builds
@@ -246,25 +250,53 @@ def _check_degree(grid: SphericalGrid, L: int):
         raise ValueError("degree must be non-negative")
 
 
+def _zonal_analysis(grid: SphericalGrid, col: np.ndarray, L: int) -> np.ndarray:
+    """The m = 0 coefficients c_{l,0}, l = 0..L, of the zonal field whose
+    (n_theta,) column is col, as analyze gives them; checks L first.
+
+    The phi sum of a constant row is n_phi at m = 0 and 0 at every
+    0 < m < n_phi, so only m = 0 is left: one parity-folded
+    Gauss-Legendre sum against _zonal_table.
+    """
+    _check_degree(grid, L)
+    nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
+    col = grid.n_phi * grid.weight * col
+    even, odd = col[:h].copy(), col[:h].copy()
+    even[:nh] += col[::-1][:nh]
+    odd[:nh] -= col[::-1][:nh]
+    p = _zonal_table(grid, L)
+    c = np.empty(L + 1)
+    c[0::2] = even @ p[:, 0::2]
+    c[1::2] = odd @ p[:, 1::2]
+    return c
+
+
+def _zonal_synthesis(grid: SphericalGrid, c: np.ndarray) -> np.ndarray:
+    """The (n_theta,) column of sum_l c_l Y_{l,0} for m = 0 coefficients
+    c of a degree L = len(c) - 1 already checked against the grid,
+    as synthesize gives it: north = even + odd, south = even - odd."""
+    n, nh, h = grid.n_theta, grid.n_theta // 2, (grid.n_theta + 1) // 2
+    p = _zonal_table(grid, len(c) - 1)
+    even, odd = p[:, 0::2] @ c[0::2], p[:, 1::2] @ c[1::2]
+    col = np.empty(n)
+    col[:h] = even + odd
+    col[::-1][:nh] = (even - odd)[:nh]
+    return col
+
+
 def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
     """Project a field onto harmonics up to degree L: c_lm = integrate(f*Y_lm)."""
     grid = f.grid
-    _check_degree(grid, L)
-    flat, scale, pair_m, _, zonal, *_ = _slab_index(L)
-    nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
     if _is_zonal(f.values):
-        # the phi sum of a constant row is n_phi at m = 0 and 0 at every
-        # 0 < m < n_phi, so only m = 0 is left
-        col = grid.n_phi * grid.weight * f.values[:, 0]
-        even, odd = col[:h].copy(), col[:h].copy()
-        even[:nh] += col[::-1][:nh]
-        odd[:nh] -= col[::-1][:nh]
-        p = _zonal_table(grid, L)
+        c = _zonal_analysis(grid, f.values[:, 0], L)
+        _, _, _, _, zonal, *_ = _slab_index(L)
         coeff = np.zeros((L + 1) ** 2)
-        coeff[zonal[0::2]] = even @ p[:, 0::2]
-        coeff[zonal[1::2]] = odd @ p[:, 1::2]
+        coeff[zonal] = c
         return HarmonicSpectrum(L=L, coeff=_frozen(coeff))
 
+    _check_degree(grid, L)
+    flat, scale, pair_m, *_ = _slab_index(L)
+    nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
     slabs = _legendre_tables(grid, L)
     # (re, im) of sum_k w_j f_jk e^{-i m phi_k}: the weighted cos and -sin
     # sums (grid.weight already carries the 2*pi/n_phi of the phi rule)
@@ -290,11 +322,7 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     c0 = s.coeff[zonal]
     if np.count_nonzero(s.coeff) == np.count_nonzero(c0):
         # every m != 0 coefficient is 0: one column, repeated over phi
-        p = _zonal_table(grid, L)
-        even, odd = p[:, 0::2] @ c0[0::2], p[:, 1::2] @ c0[1::2]
-        col = np.empty(n)
-        col[:h] = even + odd
-        col[::-1][:nh] = (even - odd)[:nh]
+        col = _zonal_synthesis(grid, c0)
         return ScalarField(grid, np.broadcast_to(col[:, None], (n, grid.n_phi)))
 
     slabs = _legendre_tables(grid, L)

@@ -2,7 +2,7 @@
 
 Everything here is derived in the colatitude variable c = cos(theta)
 with adaptive scipy quadrature, closed antiderivatives, scipy's own
-spherical Legendre functions or 40-digit mpmath arithmetic, never
+spherical Legendre functions or 40- to 50-digit mpmath arithmetic, never
 through the package's own grids or transforms, so it can arbitrate them.
 """
 
@@ -80,6 +80,14 @@ def pair_i_alpha(t: float, alpha: float) -> float:
     avg_u = 2.0 * single_bubble_average(t)
     log_avg_exp = np.log(pair_mass(t) / FOUR_PI)
     return alpha * ags + 2.0 * avg_u - log_avg_exp
+
+
+def bubble_core_energy(R: float, dps: int = 50) -> float:
+    """16 pi (ln(1 + x) + 1/(1 + x) - 1) with x = 2 pi R^2, the bubble-core
+    Dirichlet energy of the expansion report, at `dps` digits."""
+    with mpmath.workdps(dps):
+        x = 2 * mpmath.pi * mpmath.mpf(R) ** 2
+        return float(16 * mpmath.pi * (mpmath.log1p(x) + 1 / (1 + x) - 1))
 
 
 def gauss_legendre_node(n: int, k: int, dps: int = 40):

@@ -8,7 +8,9 @@ reference field by field and prints each moved field as
 
     case path: old -> new  [within | OUTSIDE | not compared]
 
-where the verdict is the tolerance table's.  With --write it then
+where the verdict is the tolerance table's, then one summary line per
+case: the number of moved fields and the largest absolute move among the
+compared numbers, with its field.  With --write it then
 rewrites the references of the cases it ran.  It exits with status 1
 when any field is outside tolerance, so it can serve as a check.  A
 change that rewrites references lists every moved value in CHANGES.md.
@@ -22,7 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_golden import CASES, field_diffs, reference_path, run_case  # noqa: E402
+from test_golden import (CASES, _is_number, field_diffs,  # noqa: E402
+                         reference_path, run_case)
 
 
 def main(argv=None) -> int:
@@ -48,8 +51,16 @@ def main(argv=None) -> int:
         for field, a, b, verdict in diffs:
             print(f"{name} {field}: {a!r} -> {b!r}  [{verdict}]")
             outside += verdict.startswith("OUTSIDE")
+        moves = [(abs(b - a), field) for field, a, b, verdict in diffs
+                 if verdict != "not compared" and _is_number(a) and _is_number(b)]
         if not diffs:
             print(f"{name}: unchanged")
+        elif moves:
+            size, where = max(moves, key=lambda m: m[0])
+            print(f"{name}: {len(diffs)} field(s) moved, "
+                  f"largest by {size:.2g} in {where}")
+        else:
+            print(f"{name}: {len(diffs)} field(s) moved")
         if args.write:
             path.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
     print(f"{outside} field(s) outside tolerance"

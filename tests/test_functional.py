@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,13 +10,14 @@ from sphere_mt import (FOUR_PI, HarmonicSpectrum, MobiusMap,
                        el_residual, energy_expansion_report, evaluate,
                        kazdan_warner_residual, l2_gradient, mobius_factor,
                        mobius_pullback, synthesize)
-from sphere_mt import green_two_pole, harmonics, max_bubble_t
+from sphere_mt import functional, green_two_pole, harmonics, max_bubble_t
+from sphere_mt import grid as grid_module
 from sphere_mt.conformal import NORTH, SOUTH
 from sphere_mt.functional import (_exp2u, _first_moments, _laplacian_values,
                                   _log_avg_exp)
 from sphere_mt.grid import integrate, integrate_values
 
-from _oracles import pair_i_alpha
+from _oracles import bubble_core_energy, pair_i_alpha
 
 LN2 = np.log(2.0)
 
@@ -308,6 +312,17 @@ def bits(*xs):
     return [np.ascontiguousarray(x, dtype=float).tobytes() for x in xs]
 
 
+def is_constant_in_phi(a):
+    return bool((a == a[:, :1]).all())
+
+
+def column_integral(grid, a):
+    """integrate_values of a full array constant in phi, taken as a zonal
+    field's integral is: on its column, broadcast."""
+    assert is_constant_in_phi(a)
+    return integrate_values(grid, np.broadcast_to(a[:, :1], a.shape))
+
+
 def assert_xy_moments(got, want, mass):
     # a zonal integrand's x and y moments are the uniform longitude
     # rule's exact 0.0; its full-storage products miss 0 by roundoff only
@@ -346,10 +361,18 @@ def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
     # rows, give the bits of the full grid (also a tripwire for numpy);
     # the x and y moments, and what is formed from them, are exactly 0
     grid = build_grid(*shape)
-    # the transforms take a full-grid copy through m = 0 as well, by the
-    # node-by-node test that found zonal fields before the stride test
-    monkeypatch.setattr(harmonics, "_is_zonal",
-                        lambda v: bool((v == v[:, :1]).all()))
+    # the transforms and the functional's spectral terms take a full-grid
+    # copy through m = 0 as well, by the node-by-node test that found
+    # zonal fields before the stride test, and a full array constant in
+    # phi is integrated on its column, as a zonal one is
+    monkeypatch.setattr(harmonics, "_is_zonal", is_constant_in_phi)
+    monkeypatch.setattr(functional, "_is_zonal", is_constant_in_phi)
+
+    def integral(g, a):
+        return (column_integral(g, a) if is_constant_in_phi(a)
+                else integrate_values(g, a))
+    monkeypatch.setattr(functional, "integrate_values", integral)
+    monkeypatch.setattr(grid_module, "integrate_values", integral)
     h = green_two_pole(grid)
     report_fields = ("avg_grad_sq", "avg_u", "log_avg_exp", "mass",
                      "onofri_J", "improved_I", "shifted_I", "i_alpha", "i_eps")
@@ -392,8 +415,8 @@ def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
 @pytest.mark.parametrize("n_phi", [4, 5, 127, 130, 512, 1024])
 def test_zonal_x_and_y_moments_are_exactly_zero(n_phi):
     # the uniform longitude rule sums cos(phi_k) and sin(phi_k) to 0:
-    # _first_moments gives a zonal field that 0.0, and the z moment of
-    # the full products
+    # _first_moments gives a zonal field that 0.0, and as its z moment
+    # the full product's, integrated on its column
     rng = np.random.default_rng(n_phi)
     for n_theta in (2, 33, 256, 1025) + ((24576,) if n_phi == 4 else ()):
         grid = build_grid(n_theta, n_phi)
@@ -401,28 +424,67 @@ def test_zonal_x_and_y_moments_are_exactly_zero(n_phi):
         wide = np.broadcast_to(col, (n_theta, n_phi))
         got = _first_moments(grid, wide)
         want = _first_moments(grid, np.ascontiguousarray(wide))
-        assert bits(got[2]) == bits(want[2])
+        assert (bits(got[2])
+                == bits(column_integral(grid, wide * grid.xyz[:, :, 2])))
         assert_xy_moments(got, want, integrate_values(grid, wide))
 
 
 @pytest.mark.parametrize("shape", [(64, 128), (256, 512)])
 def test_zonal_el_residual_matches_the_full_grid_formula_bitwise(shape):
     # el_residual forms r on a bubble pair's column and keeps it as a
-    # broadcast; the formula written out on full arrays gives its bits
+    # broadcast; the formula written out on full arrays, its integrals
+    # taken on the column, gives its bits
     grid = build_grid(*shape)
     u = bubble_pair(3.0, grid).field
     eps = 0.25
     rep = el_residual(u, eps)
     neg_lap = -np.ascontiguousarray(_laplacian_values(u))
     e2u = np.exp(2.0 * np.ascontiguousarray(u.values))
-    mass = integrate_values(grid, e2u)
+    mass = column_integral(grid, e2u)
     r = neg_lap - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI)
     assert rep.el_residual_field.values.strides[1] == 0
     assert bits(rep.el_residual_field.values) == bits(r)
     assert (bits(rep.el_residual_norm)
-            == bits(np.sqrt(integrate_values(grid, r * r))))
+            == bits(np.sqrt(column_integral(grid, r * r))))
     assert (bits(integrate(rep.el_residual_field))
-            == bits(integrate_values(grid, r)))
+            == bits(column_integral(grid, r)))
+
+
+@pytest.mark.parametrize("shape", [(256, 512), (64, 128), (65, 130), (33, 70),
+                                   (8, 16), (24576, 4)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_zonal_laplacian_and_dirichlet_term_match_the_full_spectrum(shape):
+    # the zonal Laplacian and Dirichlet term read the L + 1 m = 0
+    # coefficients alone: the Laplacian keeps the bits of the transforms'
+    # round trip, the Dirichlet sum only its value (fewer terms to add)
+    grid = build_grid(*shape)
+    top = harmonics.max_degree(grid)
+    for name, u in zonal_fields(grid).items():
+        spec = harmonics.analyze(u, top)
+        lap = _laplacian_values(u)
+        assert lap.strides[1] == 0, name
+        assert (bits(lap) == bits(harmonics.synthesize(
+            harmonics.laplacian(spec), grid).values)), name
+        want = harmonics.dirichlet_energy(spec) / FOUR_PI
+        got = evaluate(u).avg_grad_sq
+        assert abs(got - want) <= 1e-14 * want, (name, got, want)
+
+
+def test_zonal_evaluate_and_el_residual_allocate_only_columns():
+    # at 256x512 a full grid is 1 MB and an L = 254 spectrum 0.5 MB; a
+    # zonal field's functionals and residual need neither
+    grid = build_grid(256, 512)
+    u = bubble_pair(3.0, grid).field
+    for run in (lambda: evaluate(u, alpha=0.5, eps=0.25),
+                lambda: el_residual(u, 0.25)):
+        run()  # builds the grid's cached m = 0 table
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024, peak
 
 
 @pytest.mark.parametrize("shape, zonal", [((64, 128), True),
@@ -442,10 +504,10 @@ def test_l2_gradient_is_the_full_grid_division_bitwise(shape, zonal):
 
 @pytest.mark.parametrize("n_phi", [4, 5, 127, 130, 512, 1024])
 def test_row_sums_of_a_broadcast_column_are_those_of_its_copy(n_phi):
-    # the property the zonal kernels rest on: numpy sums a stride-0 row
-    # as it sums the contiguous one (a whole-array sum does not), so
-    # integrate_values gives a broadcast the bits of its copy; and a
-    # ufunc on a column gives the bits it gives on the full grid
+    # numpy sums a stride-0 row as it sums the contiguous one (a
+    # whole-array sum does not), and a ufunc on a column gives the bits
+    # it gives on the full grid, the property the zonal kernels rest on
+    # (integrate_values takes a zonal array on its column instead)
     rng = np.random.default_rng(n_phi)
     for n_theta in (2, 33, 256, 1025) + ((24576,) if n_phi < 8 else ()):
         col = (rng.standard_normal((n_theta, 1))
@@ -462,6 +524,31 @@ def test_row_sums_of_a_broadcast_column_are_those_of_its_copy(n_phi):
             assert b.sum(axis=1).tobytes() == c.sum(axis=1).tobytes()
 
 
+@pytest.mark.parametrize("n_phi", [4, 5, 127, 130, 512, 1024])
+def test_column_integral_is_the_exact_sum_to_roundoff_at_any_stride(n_phi):
+    # integrate_values takes a zonal array as n_phi sum_j w_j c_j over its
+    # column: within roundoff of the exact sum of the stored weights and
+    # values, and with the same bits however the column is strided
+    rng = np.random.default_rng(n_phi)
+    for n_theta in (2, 33, 256, 1025) + ((24576,) if n_phi < 8 else ()):
+        grid = build_grid(n_theta, n_phi)
+        col = (rng.standard_normal((n_theta, 1))
+               * 10.0 ** rng.integers(-8, 9, (n_theta, 1)))
+        got = integrate_values(grid, np.broadcast_to(col, (n_theta, n_phi)))
+        wc = [Fraction(w) * Fraction(c) for w, c in zip(grid.weight, col[:, 0])]
+        scale = n_phi * sum(abs(x) for x in wc)
+        assert abs(Fraction(got) - n_phi * sum(wc)) <= Fraction(4e-16) * scale
+        wide, flipped = (np.repeat(c, 3, axis=1) for c in (col, col[::-1]))
+        for strided in (wide[:, 1:2], flipped[::-1, 2:]):
+            assert strided.strides[0] != 8
+            b = np.broadcast_to(strided, (n_theta, n_phi))
+            assert bits(integrate_values(grid, b)) == bits(got)
+    grid = build_grid(33, n_phi)
+    assert (bits(integrate_values(grid, np.broadcast_to(0.37, (33, n_phi))))
+            == bits(integrate_values(
+                grid, np.broadcast_to(np.full((33, 1), 0.37), (33, n_phi)))))
+
+
 # ------------------------------------------------------ energy expansion
 
 def test_expansion_obstruction_constant():
@@ -476,6 +563,15 @@ def test_expansion_numeric_matches_closed_form():
         assert rep.I1_numeric == pytest.approx(rep.I1_closed, rel=1e-6)
     rep1 = energy_expansion_report(2.0, 1.0)
     assert rep1.I1_numeric == pytest.approx(56.441646038, abs=1e-6)
+
+
+def test_expansion_closed_form_keeps_its_digits_at_small_radius():
+    # ln q + 1/q - 1 cancels as q = 1 + 2 pi R^2 nears 1: at R = 1e-5 it
+    # gave 0.0, at 1e-4 a 1.2 % error; the series form keeps every digit
+    for R in (1e-8, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.28):
+        want = bubble_core_energy(R)
+        got = energy_expansion_report(2.0, R).I1_closed
+        assert abs(got - want) <= 1e-14 * want, (R, got, want)
 
 
 def test_expansion_truncation_gap():
