@@ -357,9 +357,10 @@ def zonal_fields(grid):
 @pytest.mark.parametrize("shape", [(33, 64), (32, 65), (64, 4), (24576, 4)],
                          ids=["odd_n_theta", "odd_n_phi", "64x4", "24576x4"])
 def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
-    # exp, expm1 and the z moment on one column, broadcast and summed by
-    # rows, give the bits of the full grid (also a tripwire for numpy);
-    # the x and y moments, and what is formed from them, are exactly 0
+    # exp, expm1 and the z moment on one column give the bits of the full
+    # grid (also a tripwire for numpy), and the column kernels those of
+    # a strided column; the x and y moments, and what is formed from
+    # them, are exactly 0
     grid = build_grid(*shape)
     # the transforms and the functional's spectral terms take a full-grid
     # copy through m = 0 as well, by the node-by-node test that found
@@ -412,6 +413,26 @@ def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
     assert branches == {True, False}
 
 
+@pytest.mark.parametrize("shape", [(256, 512), (64, 128), (65, 130), (33, 70),
+                                   (8, 16), (24576, 4)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_zonal_laplacian_and_dirichlet_term_match_the_full_spectrum(shape):
+    # the zonal Laplacian and Dirichlet term read the L + 1 m = 0
+    # coefficients alone: the Laplacian keeps the bits of the transforms'
+    # round trip, the Dirichlet sum only its value (fewer terms to add)
+    grid = build_grid(*shape)
+    top = harmonics.max_degree(grid)
+    for name, u in zonal_fields(grid).items():
+        spec = harmonics.analyze(u, top)
+        lap = _laplacian_values(u)
+        assert lap.strides[1] == 0, name
+        assert (bits(lap) == bits(harmonics.synthesize(
+            harmonics.laplacian(spec), grid).values)), name
+        want = harmonics.dirichlet_energy(spec) / FOUR_PI
+        got = evaluate(u).avg_grad_sq
+        assert abs(got - want) <= 1e-14 * want, (name, got, want)
+
+
 @pytest.mark.parametrize("n_phi", [4, 5, 127, 130, 512, 1024])
 def test_zonal_x_and_y_moments_are_exactly_zero(n_phi):
     # the uniform longitude rule sums cos(phi_k) and sin(phi_k) to 0:
@@ -448,26 +469,6 @@ def test_zonal_el_residual_matches_the_full_grid_formula_bitwise(shape):
             == bits(np.sqrt(column_integral(grid, r * r))))
     assert (bits(integrate(rep.el_residual_field))
             == bits(column_integral(grid, r)))
-
-
-@pytest.mark.parametrize("shape", [(256, 512), (64, 128), (65, 130), (33, 70),
-                                   (8, 16), (24576, 4)],
-                         ids=lambda s: f"{s[0]}x{s[1]}")
-def test_zonal_laplacian_and_dirichlet_term_match_the_full_spectrum(shape):
-    # the zonal Laplacian and Dirichlet term read the L + 1 m = 0
-    # coefficients alone: the Laplacian keeps the bits of the transforms'
-    # round trip, the Dirichlet sum only its value (fewer terms to add)
-    grid = build_grid(*shape)
-    top = harmonics.max_degree(grid)
-    for name, u in zonal_fields(grid).items():
-        spec = harmonics.analyze(u, top)
-        lap = _laplacian_values(u)
-        assert lap.strides[1] == 0, name
-        assert (bits(lap) == bits(harmonics.synthesize(
-            harmonics.laplacian(spec), grid).values)), name
-        want = harmonics.dirichlet_energy(spec) / FOUR_PI
-        got = evaluate(u).avg_grad_sq
-        assert abs(got - want) <= 1e-14 * want, (name, got, want)
 
 
 def test_zonal_evaluate_and_el_residual_allocate_only_columns():
