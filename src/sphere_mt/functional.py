@@ -23,10 +23,11 @@ which integrate_values takes on the column; its x and y moments are
 exactly 0.0, the value of the uniform longitude rule, where full
 products give only roundoff (_first_moments, which
 kazdan_warner_residual shares); and its Dirichlet term and Laplacian
-come from its L + 1 m = 0 coefficients (_zonal_spectrum), so zonal
-work never forms a full grid or an (L+1)^2 spectrum.  One
-private constructor, _report, writes out J, I, the shifted I, I_alpha,
-I_eps and the normalized moments for evaluate and the optimizer; beside
+come from its L + 1 m = 0 coefficients (harmonics._zonal_dirichlet
+and _zonal_laplacian), so zonal work never forms a full grid or an
+(L+1)^2 spectrum.  One private constructor, _report, writes out J, I,
+the shifted I, I_alpha, I_eps and the normalized moments for evaluate
+and the optimizer; beside
 it, _residual forms the EL residual, its norm, zero-integral check and
 closed-form Kazdan-Warner defects from -Lap u and the exp(2u) parts,
 for el_residual (hence l2_gradient) and the optimizer; on a zonal u it
@@ -112,21 +113,12 @@ def _log_avg_exp(grid: SphericalGrid, u: np.ndarray, mass: float) -> float:
     return float(np.log(mass / FOUR_PI))
 
 
-def _zonal_spectrum(u: ScalarField, L: int):
-    """A zonal u's m = 0 coefficients c_l, l = 0..L (ResolutionError for
-    an L above max_degree), and l(l+1) for each."""
-    l = np.arange(L + 1)
-    return harmonics._zonal_analysis(u.grid, u.values[:, 0], L), l * (l + 1.0)
-
-
 def _laplacian_values(u: ScalarField) -> np.ndarray:
-    """Lap u at max_degree: synthesize(laplacian(analyze(u))), which on a
-    zonal u is its column's m = 0 coefficients times 0.0 - l(l+1),
-    bitwise, synthesized to one column and broadcast."""
+    """Lap u at max_degree: synthesize(laplacian(analyze(u))), which a
+    zonal u takes bitwise on its column and broadcasts."""
     grid, L = u.grid, harmonics.max_degree(u.grid)
     if _is_zonal(u.values):
-        c, ll1 = _zonal_spectrum(u, L)
-        col = harmonics._zonal_synthesis(grid, (0.0 - ll1) * c)
+        col = harmonics._zonal_laplacian(grid, u.values[:, 0], L)
         return np.broadcast_to(col[:, None], u.values.shape)
     spec = harmonics.analyze(u, L)
     return harmonics.synthesize(harmonics.laplacian(spec), grid).values
@@ -200,10 +192,7 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     L = harmonics.max_degree(grid) if L is None else L
     _, mass, moments = _exp2u(grid, u.values)
     if _is_zonal(u.values):
-        c, ll1 = _zonal_spectrum(u, L)
-        sq = c * c
-        sq *= ll1
-        dirichlet = float(np.sum(sq))
+        dirichlet = harmonics._zonal_dirichlet(grid, u.values[:, 0], L)
     else:
         dirichlet = harmonics.dirichlet_energy(harmonics.analyze(u, L))
     return _report(dirichlet / FOUR_PI, average(u),

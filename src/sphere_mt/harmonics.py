@@ -50,9 +50,11 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   synthesize takes a spectrum whose m != 0 coefficients are all exactly
   0 the same way, to one column broadcast over phi.  Two column kernels
   do this work, _zonal_analysis (column to its L + 1 m = 0
-  coefficients) and _zonal_synthesis (back), and functional calls them
-  itself for a zonal field's Dirichlet term and Laplacian, so those
-  never form the (L+1)^2 spectrum.  One fill builds
+  coefficients) and _zonal_synthesis (back); on them _zonal_dirichlet
+  and _zonal_laplacian give functional a zonal field's Dirichlet term
+  and Laplacian without forming the (L+1)^2 spectrum, with the l(l+1)
+  weights, their sign rule and their square-then-weight sum shared with
+  dirichlet_energy and laplacian.  One fill builds
   both tables: the slabs are its run over all L + 1 orders, and the
   m = 0 table is slab 0's columns 0..L of its run over order 0 alone,
   so it is bitwise the slabs' m = 0 rows and zonal work never builds
@@ -90,12 +92,34 @@ def degrees(L: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _degree_weights(L: int) -> np.ndarray:
-    """l(l+1) of each flat coefficient index, read-only, one per L."""
-    l = degrees(L)
+def _zonal_weights(L: int) -> np.ndarray:
+    """l(l+1) for l = 0..L, read-only, one per L: the weights at m = 0."""
+    l = np.arange(L + 1)
     ll1 = l * (l + 1.0)
     ll1.setflags(write=False)
     return ll1
+
+
+@lru_cache(maxsize=16)
+def _degree_weights(L: int) -> np.ndarray:
+    """l(l+1) of each flat coefficient index, read-only, one per L."""
+    ll1 = _zonal_weights(L)[degrees(L)]
+    ll1.setflags(write=False)
+    return ll1
+
+
+def _times_laplacian(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c times 0.0 - w for weights w = l(l+1).  The factor is +0.0 at
+    l = 0: plain negation of l(l+1) gives -0.0 there, which flips the
+    sign of the zero output coefficient at l = 0."""
+    return (0.0 - w) * c
+
+
+def _weighted_square_sum(w: np.ndarray, c: np.ndarray) -> float:
+    """sum w c^2, squared and weighted in one buffer."""
+    sq = c * c
+    sq *= w
+    return float(np.sum(sq))
 
 
 def flat_index(l: int, m: int) -> int:
@@ -344,18 +368,29 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
 
 
 def laplacian(s: HarmonicSpectrum) -> HarmonicSpectrum:
-    """Spectral Laplace-Beltrami operator: multiply c_lm by -l(l+1).
-
-    The factor is 0.0 - l(l+1), which is +0.0 at l = 0: plain negation
-    of l(l+1) gives -0.0 there, which flips the sign of the zero output
-    coefficient at l = 0.
-    """
-    return HarmonicSpectrum(L=s.L, coeff=_frozen((0.0 - _degree_weights(s.L)) * s.coeff))
+    """Spectral Laplace-Beltrami operator: multiply c_lm by -l(l+1)
+    (_times_laplacian)."""
+    return HarmonicSpectrum(
+        L=s.L, coeff=_frozen(_times_laplacian(_degree_weights(s.L), s.coeff)))
 
 
 def dirichlet_energy(s: HarmonicSpectrum) -> float:
     """integral |grad u|^2 = sum l(l+1) c_lm^2 (Parseval)."""
-    sq = s.coeff * s.coeff
-    sq *= _degree_weights(s.L)
-    return float(np.sum(sq))
+    return _weighted_square_sum(_degree_weights(s.L), s.coeff)
+
+
+def _zonal_dirichlet(grid: SphericalGrid, col: np.ndarray, L: int) -> float:
+    """dirichlet_energy(analyze(f, L)) of the zonal f whose (n_theta,)
+    column is col, summed over its L + 1 m = 0 coefficients alone: the
+    same value, not the same bits (fewer terms are added)."""
+    c = _zonal_analysis(grid, col, L)  # checks L before any weights
+    return _weighted_square_sum(_zonal_weights(L), c)
+
+
+def _zonal_laplacian(grid: SphericalGrid, col: np.ndarray, L: int) -> np.ndarray:
+    """The (n_theta,) column of synthesize(laplacian(analyze(f, L))) for
+    the zonal f whose column is col, bitwise, without the (L+1)^2
+    spectrum: the same products on the m = 0 coefficients."""
+    c = _zonal_analysis(grid, col, L)
+    return _zonal_synthesis(grid, _times_laplacian(_zonal_weights(L), c))
 

@@ -330,13 +330,19 @@ def assert_xy_moments(got, want, mass):
     assert np.all(np.abs(want[:2]) <= 1e-15 * mass), (want[:2], mass)
 
 
-def kw_integrand_mass(v, h, c):
-    """avg |q| for kazdan_warner_residual's integrand q, written out on
-    full arrays: the scale of its x_i-weighted sums' roundoff."""
+def full_xy_moments(grid, f):
+    """[int f x, int f y] of f held in full, from the full products
+    summed by rows: what a zonal integrand's exact 0.0 stands for."""
+    f = np.ascontiguousarray(f)
+    return np.array([integrate_values(grid, f * grid.xyz[:, :, i])
+                     for i in (0, 1)])
+
+
+def kw_integrand(v, h, c):
+    """kazdan_warner_residual's integrand q, written out on full arrays."""
     ev = np.exp(np.ascontiguousarray(v.values))
-    q = (0.5 * (h.values * _laplacian_values(ScalarField(v.grid, ev))
-                - ev * _laplacian_values(h)) + (c - 1.0) * h.values * ev)
-    return integrate_values(v.grid, np.abs(q)) / FOUR_PI
+    return (0.5 * (h.values * _laplacian_values(ScalarField(v.grid, ev))
+                   - ev * _laplacian_values(h)) + (c - 1.0) * h.values * ev)
 
 
 def zonal_fields(grid):
@@ -360,12 +366,16 @@ def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
     # exp, expm1 and the z moment on one column give the bits of the full
     # grid (also a tripwire for numpy), and the column kernels those of
     # a strided column; the x and y moments, and what is formed from
-    # them, are exactly 0
+    # them, are exactly 0, where the full products of the same
+    # integrands (summed by this module's own integrate_values) give
+    # only roundoff
     grid = build_grid(*shape)
     # the transforms and the functional's spectral terms take a full-grid
     # copy through m = 0 as well, by the node-by-node test that found
     # zonal fields before the stride test, and a full array constant in
-    # phi is integrated on its column, as a zonal one is
+    # phi is integrated on its column, as a zonal one is; that also sends
+    # the copy's x and y moments down the zonal branch, so they are
+    # checked against full_xy_moments instead
     monkeypatch.setattr(harmonics, "_is_zonal", is_constant_in_phi)
     monkeypatch.setattr(functional, "_is_zonal", is_constant_in_phi)
 
@@ -389,27 +399,33 @@ def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
             assert e2u.strides[1] == 0 and ref[0].strides[1] != 0
             assert (bits(e2u, mass, moments[2])
                     == bits(ref[0], ref[1], ref[2][2])), name
-            assert_xy_moments(moments, ref[2], mass)
+            xy = full_xy_moments(grid, ref[0])
+            assert_xy_moments(moments, xy, mass)
             branches.add(mass >= 2.0 * np.pi)
             assert (bits(_log_avg_exp(grid, u.values, mass))
                     == bits(_log_avg_exp(grid, full.values, mass))), name
             got, want = (evaluate(v, alpha=0.5, eps=0.25) for v in (u, full))
             assert (bits(*(getattr(got, k) for k in report_fields))
                     == bits(*(getattr(want, k) for k in report_fields))), name
-            for k, scale in (("moments", mass), ("normalized_moments", 1.0)):
+            for k, ref_xy, scale in (("moments", xy, mass),
+                                     ("normalized_moments", xy / mass, 1.0)):
                 assert bits(getattr(got, k)[2]) == bits(getattr(want, k)[2])
-                assert_xy_moments(getattr(got, k), getattr(want, k), scale)
+                assert_xy_moments(getattr(got, k), ref_xy, scale)
             got, want = (el_residual(v, 0.25) for v in (u, full))
             assert (bits(got.el_residual_field.values, got.el_residual_norm,
                          got.kw_residual[2])
                     == bits(want.el_residual_field.values,
                             want.el_residual_norm, want.kw_residual[2])), name
             # kw_residual = 8 (1-2 eps)(1-eps) normalized_moments
-            assert_xy_moments(got.kw_residual, want.kw_residual, 8.0)
+            assert_xy_moments(got.kw_residual,
+                              8.0 * 0.5 * 0.75 * (xy / mass), 8.0)
             got = kazdan_warner_residual(u, h, 1.3)
             want = kazdan_warner_residual(full, full_storage(h), 1.3)
             assert bits(got[2]) == bits(want[2]), name
-            assert_xy_moments(got, want, kw_integrand_mass(full, h, 1.3))
+            # the scale of q's x_i-weighted sums' roundoff is avg |q|
+            q = kw_integrand(full, h, 1.3)
+            assert_xy_moments(got, full_xy_moments(grid, q) / FOUR_PI,
+                              integrate_values(grid, np.abs(q)) / FOUR_PI)
     assert branches == {True, False}
 
 

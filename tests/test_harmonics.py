@@ -8,8 +8,8 @@ from scipy.special import sph_legendre_p, sph_legendre_p_all
 
 from sphere_mt import (FOUR_PI, HarmonicSpectrum, ResolutionError,
                        ScalarField, analyze, build_grid, dirichlet_energy,
-                       harmonics, integrate, laplacian, max_degree,
-                       synthesize)
+                       evaluate, harmonics, integrate, laplacian,
+                       max_degree, synthesize)
 from sphere_mt.harmonics import _legendre_tables, _zonal_table, flat_index
 from sphere_mt.conformal import MobiusMap, NORTH, mobius_factor
 
@@ -264,6 +264,11 @@ def test_anti_aliasing_bound(grid_small):
             analyze(f, 23)
         with pytest.raises(ValueError, match="non-negative"):
             analyze(f, -1)
+        # evaluate too, before it sizes anything by L (no array of
+        # 2^62 + 1 weights could be allocated)
+        for L in (23, 2**62):
+            with pytest.raises(ResolutionError):
+                evaluate(f, L=L)
     c = np.zeros(576)
     with pytest.raises(ResolutionError):
         synthesize(HarmonicSpectrum(L=23, coeff=c), grid_small)
