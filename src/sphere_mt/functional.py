@@ -17,22 +17,19 @@ _log_avg_exp gives the functionals (evaluate and the optimizer) a
 log-average accurate at both ends of the mass.  Both take exp(2u) from
 _exp2, the one overflow guard, which kazdan_warner_residual and the
 CLI's conformal checks call for exp(2u) alone.  A zonal u (stored by
-ScalarField as a broadcast column) is exponentiated on its column; its
-mass, z moment and log-average are integrals of broadcast columns,
-which integrate_values takes on the column; its x and y moments are
-exactly 0.0, the value of the uniform longitude rule, where full
-products give only roundoff (_first_moments, which
-kazdan_warner_residual shares); and its Dirichlet term and Laplacian
-come from its L + 1 m = 0 coefficients (harmonics._zonal_dirichlet
-and _zonal_laplacian), so zonal work never forms a full grid or an
-(L+1)^2 spectrum.  One private constructor, _report, writes out J, I,
-the shifted I, I_alpha, I_eps and the normalized moments for evaluate
-and the optimizer; beside
-it, _residual forms the EL residual, its norm, zero-integral check and
-closed-form Kazdan-Warner defects from -Lap u and the exp(2u) parts,
-for el_residual (hence l2_gradient) and the optimizer; on a zonal u it
-forms r on the column and broadcasts it, so el_residual negates only the
-Laplacian's column and l2_gradient divides only r's column.
+ScalarField as a broadcast column) is exponentiated on its column, and
+the columns stay broadcast, so grid and harmonics, which own the
+zonal rules, take its integrals and first moments (grid._first_moments,
+which kazdan_warner_residual shares) and its Dirichlet term and
+Laplacian (harmonics._field_dirichlet and _field_laplacian) without a
+full grid or an (L+1)^2 spectrum.  One private constructor, _report,
+writes out J, I, the shifted I, I_alpha, I_eps and the normalized
+moments for evaluate and the optimizer; beside it, _residual forms the
+EL residual, its norm, zero-integral check and closed-form
+Kazdan-Warner defects from -Lap u and the exp(2u) parts, for
+el_residual (hence l2_gradient) and the optimizer; on a zonal u it
+forms r on the column and broadcasts it, so el_residual negates only
+the Laplacian's column and l2_gradient divides only r's column.
 Overflow is a first-class blow-up signal (RangeOverflowError), never a crash.
 """
 
@@ -45,8 +42,8 @@ import numpy as np
 from . import harmonics
 from .conformal import bubble_mass
 from .errors import InvariantViolation, RangeOverflowError
-from .grid import (FOUR_PI, ScalarField, SphericalGrid, _column, _is_zonal,
-                   average, integrate_values)
+from .grid import (FOUR_PI, ScalarField, SphericalGrid, _column,
+                   _first_moments, average, integrate_values)
 
 #: exp argument ceiling; doubles overflow near 709.78
 EXP_LIMIT = 700.0
@@ -67,23 +64,6 @@ def _exp2(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
             f"exp(2u) overflows: max u = {col.max():.6g} at node "
             f"(theta={grid.theta[jt]:.6f}, phi={grid.phi[jp]:.6f})")
     return np.broadcast_to(np.exp(two_u), (grid.n_theta, grid.n_phi))
-
-
-def _first_moments(grid: SphericalGrid, f: np.ndarray) -> np.ndarray:
-    """[int f x, int f y, int f z] for (n_theta, n_phi) values f.
-
-    A zonal f (stride 0 along phi) has x and y moments exactly 0.0: the
-    uniform longitude rule sums cos(phi_k) and sin(phi_k) to 0 for every
-    n_phi >= 4, and the full products would only give roundoff.  Its z
-    moment (z too is constant in phi) integrates one column's product,
-    broadcast, on that column.  Any other f takes the three full
-    products.
-    """
-    if _is_zonal(f):
-        fz = np.broadcast_to(_column(f) * grid.xyz[:, :1, 2], f.shape)
-        return np.array([0.0, 0.0, integrate_values(grid, fz)])
-    return np.array([integrate_values(grid, f * grid.xyz[:, :, i])
-                     for i in range(3)])
 
 
 def _exp2u(grid: SphericalGrid, u: np.ndarray):
@@ -111,17 +91,6 @@ def _log_avg_exp(grid: SphericalGrid, u: np.ndarray, mass: float) -> float:
         em1 = np.broadcast_to(np.expm1(2.0 * _column(u)), u.shape)
         return float(np.log1p(integrate_values(grid, em1) / FOUR_PI))
     return float(np.log(mass / FOUR_PI))
-
-
-def _laplacian_values(u: ScalarField) -> np.ndarray:
-    """Lap u at max_degree: synthesize(laplacian(analyze(u))), which a
-    zonal u takes bitwise on its column and broadcasts."""
-    grid, L = u.grid, harmonics.max_degree(u.grid)
-    if _is_zonal(u.values):
-        col = harmonics._zonal_laplacian(grid, u.values[:, 0], L)
-        return np.broadcast_to(col[:, None], u.values.shape)
-    spec = harmonics.analyze(u, L)
-    return harmonics.synthesize(harmonics.laplacian(spec), grid).values
 
 
 @dataclass(frozen=True)
@@ -179,10 +148,9 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     """Populate a FunctionalReport for the field u.
 
     The Dirichlet term is computed spectrally at degree L (defaults to
-    the grid's anti-aliasing bound): dirichlet_energy(analyze(u, L)), or
-    for a zonal u the sum of l(l+1) c_l^2 over its L + 1 m = 0
-    coefficients.  exp(2u) terms are pointwise.  alpha must be finite
-    and eps finite and below 1 (eps < 0 is admitted).
+    the grid's anti-aliasing bound) by harmonics._field_dirichlet.
+    exp(2u) terms are pointwise.  alpha must be finite and eps finite
+    and below 1 (eps < 0 is admitted).
     """
     if alpha is not None and not np.isfinite(alpha):
         raise ValueError(f"alpha={alpha} is not finite")
@@ -191,10 +159,7 @@ def evaluate(u: ScalarField, alpha: float | None = None,
     grid = u.grid
     L = harmonics.max_degree(grid) if L is None else L
     _, mass, moments = _exp2u(grid, u.values)
-    if _is_zonal(u.values):
-        dirichlet = harmonics._zonal_dirichlet(grid, u.values[:, 0], L)
-    else:
-        dirichlet = harmonics.dirichlet_energy(harmonics.analyze(u, L))
+    dirichlet = harmonics._field_dirichlet(u, L)
     return _report(dirichlet / FOUR_PI, average(u),
                    _log_avg_exp(grid, u.values, mass), mass, moments, alpha, eps)
 
@@ -244,7 +209,7 @@ def el_residual(u: ScalarField, eps: float) -> ResidualReport:
     """Euler-Lagrange residual of u and its closed-form Kazdan-Warner
     defects (see _residual), -Lap u taken at the grid's max_degree."""
     e2u, mass, moments = _exp2u(u.grid, u.values)
-    neg_lap_u = -_column(_laplacian_values(u))
+    neg_lap_u = -_column(harmonics._field_laplacian(u))
     return _residual(u.grid, neg_lap_u, e2u, mass, moments, eps)
 
 
@@ -281,8 +246,8 @@ def kazdan_warner_residual(v: ScalarField, h: ScalarField, c: float) -> np.ndarr
     grid = v.grid
     ev = _exp2(grid, 0.5 * _column(v.values))
     hc, evc = _column(h.values), _column(ev)
-    lap_ev = _column(_laplacian_values(ScalarField(grid, ev)))
-    lap_h = _column(_laplacian_values(h))
+    lap_ev = _column(harmonics._field_laplacian(ScalarField(grid, ev)))
+    lap_h = _column(harmonics._field_laplacian(h))
     q = 0.5 * (hc * lap_ev - evc * lap_h) + (c - 1.0) * hc * evc
     return _first_moments(grid, np.broadcast_to(q, ev.shape)) / FOUR_PI
 

@@ -13,7 +13,9 @@ The Gauss-Legendre rule comes from one generator at every size,
 Tricomi's initial guess (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
 Working in theta keeps the nodes and weights accurate near the poles,
 where x = cos(theta) is close to 1, and costs O(n) per Newton step.
-``build_grid`` caches the grids it builds (see build_grid).
+``build_grid`` caches the grids it builds (see build_grid), and the
+rule is cached per n_theta, so a grid of a known n_theta and a new
+n_phi reuses its nodes.
 
 Grids compare and hash by identity, so a cache keyed by a grid never
 serves it the entries of another grid of the same shape, and a grid
@@ -24,7 +26,9 @@ Green field and u = 0 are) is stored as one column broadcast over phi,
 so building it and the work on it cost one column (see ScalarField).
 Reduce field values only through integrate_values, which integrates a
 zonal field on its column: n_phi sum_j w_j c_j, one dot whose bits do
-not depend on how the column is strided.
+not depend on how the column is strided.  Beside it, _first_moments
+gives a zonal field's x and y moments as the longitude rule's exact
+0.0 and its z moment as the column integral of its product with z.
 """
 
 from __future__ import annotations
@@ -116,8 +120,11 @@ def _legendre_pair(theta: np.ndarray, n: int):
     return p, d, u
 
 
+@lru_cache(maxsize=16)
 def _gauss_legendre_theta(n: int):
-    """Gauss-Legendre rule on [-1, 1] as colatitudes: (theta, weight).
+    """Gauss-Legendre rule on [-1, 1] as colatitudes: (theta, weight),
+    read-only, built once per n for the last 16 n, so grids of one
+    n_theta and any n_phi share one rule.
 
     theta is ascending in (0, pi).  Newton runs in theta on P_n(cos theta)
     over the northern half only, from Tricomi's guess
@@ -144,8 +151,11 @@ def _gauss_legendre_theta(n: int):
         theta[-1] = 0.5 * np.pi
     p, d, _ = _legendre_pair(theta, n)
     w = 2.0 * np.sin(theta) ** 2 / (n * (p - d)) ** 2
-    return (np.concatenate((theta, np.pi - theta[:n // 2][::-1])),
+    rule = (np.concatenate((theta, np.pi - theta[:n // 2][::-1])),
             np.concatenate((w, w[:n // 2][::-1])))
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -276,3 +286,19 @@ def integrate_values(grid: SphericalGrid, values: np.ndarray) -> float:
         return float(grid.n_phi * np.dot(grid.weight, col))
     return float(np.dot(grid.weight, values.sum(axis=1)))
 
+
+def _first_moments(grid: SphericalGrid, f: np.ndarray) -> np.ndarray:
+    """[int f x, int f y, int f z] for (n_theta, n_phi) values f.
+
+    A zonal f (stride 0 along phi) has x and y moments exactly 0.0: the
+    uniform longitude rule sums cos(phi_k) and sin(phi_k) to 0 for every
+    n_phi >= 4, and the full products would only give roundoff.  Its z
+    moment (z too is constant in phi) integrates one column's product,
+    broadcast, on that column.  Any other f takes the three full
+    products.
+    """
+    if _is_zonal(f):
+        fz = np.broadcast_to(f[:, :1] * grid.xyz[:, :1, 2], f.shape)
+        return np.array([0.0, 0.0, integrate_values(grid, fz)])
+    return np.array([integrate_values(grid, f * grid.xyz[:, :, i])
+                     for i in range(3)])

@@ -26,10 +26,12 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   south) and an odd part (north - mirrored south), an odd grid's
   equator row entering both once; degree l of order m reads the part
   of the parity of l + m.  Synthesis unfolds: north = even + odd,
-  south = even - odd.  This needs the southern cos(theta) to be exactly
-  the mirrored northern one, which SphericalGrid checks when a grid is
-  built.  The tables are cached per (grid, L), and a grid equals only
-  itself, so every grid gets the tables of its own nodes.
+  south = even - odd.  _fold and _unfold write these once for the
+  general and the zonal transforms.  This needs the southern
+  cos(theta) to be exactly the mirrored northern one, which
+  SphericalGrid checks when a grid is built.  The tables are cached
+  per (grid, L), and a grid equals only itself, so every grid gets the
+  tables of its own nodes.
 * Paired-m slabs.  Order m has L + 1 - m rows and order L - m has
   m + 1, so the two share one slab of L + 2 rows: a dense array of
   shape (L//2 + 1, ceil(n_theta/2), L + 2), padded only in the middle
@@ -50,11 +52,14 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   synthesize takes a spectrum whose m != 0 coefficients are all exactly
   0 the same way, to one column broadcast over phi.  Two column kernels
   do this work, _zonal_analysis (column to its L + 1 m = 0
-  coefficients) and _zonal_synthesis (back); on them _zonal_dirichlet
-  and _zonal_laplacian give functional a zonal field's Dirichlet term
-  and Laplacian without forming the (L+1)^2 spectrum, with the l(l+1)
-  weights, their sign rule and their square-then-weight sum shared with
-  dirichlet_energy and laplacian.  One fill builds
+  coefficients) and _zonal_synthesis (back, broadcast).  The
+  field-level _field_dirichlet (the Dirichlet term at degree L) and
+  _field_laplacian (the Laplacian's values at max_degree) are the one
+  place a field's spectral terms choose the zonal path: a zonal field
+  takes them on the column kernels without forming the (L+1)^2
+  spectrum, with the l(l+1) weights, their sign rule and their
+  square-then-weight sum shared with dirichlet_energy and laplacian;
+  any other field goes through analyze.  One fill builds
   both tables: the slabs are its run over all L + 1 orders, and the
   m = 0 table is slab 0's columns 0..L of its run over order 0 alone,
   so it is bitwise the slabs' m = 0 rows and zonal work never builds
@@ -274,6 +279,29 @@ def _check_degree(grid: SphericalGrid, L: int):
         raise ValueError("degree must be non-negative")
 
 
+def _fold(grid: SphericalGrid, a: np.ndarray) -> np.ndarray:
+    """The (even, odd) parts of values a over the theta nodes (first
+    axis), stacked on a new first axis: north + mirrored south and
+    north - mirrored south over the ceil(n_theta/2) northern rows, an
+    odd grid's equator row, its own mirror, entering both once."""
+    nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
+    eo = np.stack((a[:h], a[:h]))
+    south = a[::-1][:nh]
+    eo[0, :nh] += south
+    eo[1, :nh] -= south
+    return eo
+
+
+def _unfold(grid: SphericalGrid, even: np.ndarray, odd: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """_fold undone into the n_theta rows of out (first axis):
+    north = even + odd, south = even - odd, mirrored."""
+    nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
+    out[:h] = even + odd
+    out[::-1][:nh] = even[:nh] - odd[:nh]
+    return out
+
+
 def _zonal_analysis(grid: SphericalGrid, col: np.ndarray, L: int) -> np.ndarray:
     """The m = 0 coefficients c_{l,0}, l = 0..L, of the zonal field whose
     (n_theta,) column is col, as analyze gives them; checks L first.
@@ -283,11 +311,7 @@ def _zonal_analysis(grid: SphericalGrid, col: np.ndarray, L: int) -> np.ndarray:
     Gauss-Legendre sum against _zonal_table.
     """
     _check_degree(grid, L)
-    nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
-    col = grid.n_phi * grid.weight * col
-    even, odd = col[:h].copy(), col[:h].copy()
-    even[:nh] += col[::-1][:nh]
-    odd[:nh] -= col[::-1][:nh]
+    even, odd = _fold(grid, grid.n_phi * grid.weight * col)
     p = _zonal_table(grid, L)
     c = np.empty(L + 1)
     c[0::2] = even @ p[:, 0::2]
@@ -296,16 +320,13 @@ def _zonal_analysis(grid: SphericalGrid, col: np.ndarray, L: int) -> np.ndarray:
 
 
 def _zonal_synthesis(grid: SphericalGrid, c: np.ndarray) -> np.ndarray:
-    """The (n_theta,) column of sum_l c_l Y_{l,0} for m = 0 coefficients
-    c of a degree L = len(c) - 1 already checked against the grid,
-    as synthesize gives it: north = even + odd, south = even - odd."""
-    n, nh, h = grid.n_theta, grid.n_theta // 2, (grid.n_theta + 1) // 2
+    """The values of sum_l c_l Y_{l,0} for m = 0 coefficients c of a
+    degree L = len(c) - 1 already checked against the grid, as
+    synthesize gives them: one column, broadcast over phi."""
     p = _zonal_table(grid, len(c) - 1)
-    even, odd = p[:, 0::2] @ c[0::2], p[:, 1::2] @ c[1::2]
-    col = np.empty(n)
-    col[:h] = even + odd
-    col[::-1][:nh] = (even - odd)[:nh]
-    return col
+    col = _unfold(grid, p[:, 0::2] @ c[0::2], p[:, 1::2] @ c[1::2],
+                  np.empty(grid.n_theta))
+    return np.broadcast_to(col[:, None], (grid.n_theta, grid.n_phi))
 
 
 def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
@@ -320,20 +341,15 @@ def analyze(f: ScalarField, L: int) -> HarmonicSpectrum:
 
     _check_degree(grid, L)
     flat, scale, pair_m, *_ = _slab_index(L)
-    nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
+    h = (grid.n_theta + 1) // 2
     slabs = _legendre_tables(grid, L)
     # (re, im) of sum_k w_j f_jk e^{-i m phi_k}: the weighted cos and -sin
     # sums (grid.weight already carries the 2*pi/n_phi of the phi rule)
     a = (np.fft.rfft(f.values, axis=1)[:, : L + 1].view(float)
          * grid.weight[:, None])
-    # fold into (even, odd) parts, north +- mirrored south; an odd
-    # grid's equator row is its own mirror and enters both once
-    eo = np.repeat(a[:h, :, None], 2, axis=2)
-    south = a[::-1][:nh]
-    eo[:nh, :, 0] += south
-    eo[:nh, :, 1] -= south
-    lanes = eo.reshape(h, L + 1, 4).transpose(1, 2, 0)[pair_m]
-    prod = np.matmul(lanes.reshape(-1, 8, h), slabs)
+    # lanes (cos even, cos odd, sin even, sin odd) of each m
+    eo = _fold(grid, a).reshape(2, h, L + 1, 2).transpose(2, 3, 0, 1)
+    prod = np.matmul(eo[pair_m].reshape(-1, 8, h), slabs)
     return HarmonicSpectrum(L=L, coeff=_frozen(prod.reshape(-1)[flat] * scale))
 
 
@@ -341,13 +357,12 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     """Evaluate sum_lm c_lm Y_lm at every grid node."""
     L = s.L
     _check_degree(grid, L)
-    n, nh, h = grid.n_theta, grid.n_theta // 2, (grid.n_theta + 1) // 2
+    n, h = grid.n_theta, (grid.n_theta + 1) // 2
     flat, scale, _, group_m, zonal, *_ = _slab_index(L)
     c0 = s.coeff[zonal]
     if np.count_nonzero(s.coeff) == np.count_nonzero(c0):
         # every m != 0 coefficient is 0: one column, repeated over phi
-        col = _zonal_synthesis(grid, c0)
-        return ScalarField(grid, np.broadcast_to(col[:, None], (n, grid.n_phi)))
+        return ScalarField(grid, _zonal_synthesis(grid, c0))
 
     slabs = _legendre_tables(grid, L)
     # lanes hold c_{l,m} / sqrt 2 and -c_{l,-m} / sqrt 2 (c_{l,0} as is),
@@ -355,14 +370,12 @@ def synthesize(s: HarmonicSpectrum, grid: SphericalGrid) -> ScalarField:
     lanes = np.zeros((slabs.shape[0], 8, L + 2))
     lanes.reshape(-1)[flat] = s.coeff / scale
     prod = np.matmul(lanes, slabs.transpose(0, 2, 1))
-    eo = prod.reshape(-1, 4, h)[group_m].reshape(L + 1, 2, 2, h)
-    # unfold: north = even + odd, south = even - odd, mirrored.
+    # (even, odd) parts, each (nodes, m, cos/sin), unfolded into F.
     # L <= max_degree < n_phi / 2, so every m has its own rfft bin.
+    even, odd = (prod.reshape(-1, 4, h)[group_m].reshape(L + 1, 2, 2, h)
+                 .transpose(2, 3, 0, 1))
     F = np.zeros((n, grid.n_phi // 2 + 1), dtype=complex)
-    Fv = F.view(float).reshape(n, -1, 2)
-    Fv[:h, : L + 1] = (eo[:, :, 0] + eo[:, :, 1]).transpose(2, 0, 1)
-    Fv[::-1][:nh, : L + 1] = (eo[:, :, 0, :nh]
-                              - eo[:, :, 1, :nh]).transpose(2, 0, 1)
+    _unfold(grid, even, odd, F.view(float).reshape(n, -1, 2)[:, : L + 1])
     # n= keeps the output length right for odd n_phi
     return ScalarField(grid, np.fft.irfft(F, n=grid.n_phi, axis=1) * grid.n_phi)
 
@@ -379,18 +392,22 @@ def dirichlet_energy(s: HarmonicSpectrum) -> float:
     return _weighted_square_sum(_degree_weights(s.L), s.coeff)
 
 
-def _zonal_dirichlet(grid: SphericalGrid, col: np.ndarray, L: int) -> float:
-    """dirichlet_energy(analyze(f, L)) of the zonal f whose (n_theta,)
-    column is col, summed over its L + 1 m = 0 coefficients alone: the
-    same value, not the same bits (fewer terms are added)."""
-    c = _zonal_analysis(grid, col, L)  # checks L before any weights
-    return _weighted_square_sum(_zonal_weights(L), c)
+def _field_dirichlet(f: ScalarField, L: int) -> float:
+    """dirichlet_energy(analyze(f, L)); for a zonal f, the sum over its
+    L + 1 m = 0 coefficients alone: the same value, not the same bits
+    (fewer terms are added)."""
+    if _is_zonal(f.values):
+        c = _zonal_analysis(f.grid, f.values[:, 0], L)  # checks L first
+        return _weighted_square_sum(_zonal_weights(L), c)
+    return dirichlet_energy(analyze(f, L))
 
 
-def _zonal_laplacian(grid: SphericalGrid, col: np.ndarray, L: int) -> np.ndarray:
-    """The (n_theta,) column of synthesize(laplacian(analyze(f, L))) for
-    the zonal f whose column is col, bitwise, without the (L+1)^2
-    spectrum: the same products on the m = 0 coefficients."""
-    c = _zonal_analysis(grid, col, L)
-    return _zonal_synthesis(grid, _times_laplacian(_zonal_weights(L), c))
-
+def _field_laplacian(f: ScalarField) -> np.ndarray:
+    """Lap f at max_degree, synthesize(laplacian(analyze(f))).values; a
+    zonal f takes the same products on its m = 0 coefficients alone,
+    bitwise, without the (L+1)^2 spectrum, and broadcasts the column."""
+    grid, L = f.grid, max_degree(f.grid)
+    if _is_zonal(f.values):
+        c = _zonal_analysis(grid, f.values[:, 0], L)
+        return _zonal_synthesis(grid, _times_laplacian(_zonal_weights(L), c))
+    return synthesize(laplacian(analyze(f, L)), grid).values

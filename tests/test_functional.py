@@ -13,9 +13,9 @@ from sphere_mt import (FOUR_PI, HarmonicSpectrum, MobiusMap,
 from sphere_mt import functional, green_two_pole, harmonics, max_bubble_t
 from sphere_mt import grid as grid_module
 from sphere_mt.conformal import NORTH, SOUTH
-from sphere_mt.functional import (_exp2u, _first_moments, _laplacian_values,
-                                  _log_avg_exp)
-from sphere_mt.grid import integrate, integrate_values
+from sphere_mt.functional import _exp2u, _log_avg_exp
+from sphere_mt.grid import _first_moments, integrate, integrate_values
+from sphere_mt.harmonics import _field_laplacian
 
 from _oracles import bubble_core_energy, pair_i_alpha
 
@@ -341,8 +341,8 @@ def full_xy_moments(grid, f):
 def kw_integrand(v, h, c):
     """kazdan_warner_residual's integrand q, written out on full arrays."""
     ev = np.exp(np.ascontiguousarray(v.values))
-    return (0.5 * (h.values * _laplacian_values(ScalarField(v.grid, ev))
-                   - ev * _laplacian_values(h)) + (c - 1.0) * h.values * ev)
+    return (0.5 * (h.values * _field_laplacian(ScalarField(v.grid, ev))
+                   - ev * _field_laplacian(h)) + (c - 1.0) * h.values * ev)
 
 
 def zonal_fields(grid):
@@ -370,14 +370,12 @@ def test_zonal_column_kernels_match_the_full_grid_bitwise(shape, monkeypatch):
     # integrands (summed by this module's own integrate_values) give
     # only roundoff
     grid = build_grid(*shape)
-    # the transforms and the functional's spectral terms take a full-grid
-    # copy through m = 0 as well, by the node-by-node test that found
-    # zonal fields before the stride test, and a full array constant in
-    # phi is integrated on its column, as a zonal one is; that also sends
-    # the copy's x and y moments down the zonal branch, so they are
-    # checked against full_xy_moments instead
+    # the transforms and the spectral terms take a full-grid copy through
+    # m = 0 as well, by the node-by-node test that found zonal fields
+    # before the stride test, and a full array constant in phi is
+    # integrated on its column, as a zonal one is; the copy's x and y
+    # moments are its full products, checked against full_xy_moments
     monkeypatch.setattr(harmonics, "_is_zonal", is_constant_in_phi)
-    monkeypatch.setattr(functional, "_is_zonal", is_constant_in_phi)
 
     def integral(g, a):
         return (column_integral(g, a) if is_constant_in_phi(a)
@@ -440,7 +438,7 @@ def test_zonal_laplacian_and_dirichlet_term_match_the_full_spectrum(shape):
     top = harmonics.max_degree(grid)
     for name, u in zonal_fields(grid).items():
         spec = harmonics.analyze(u, top)
-        lap = _laplacian_values(u)
+        lap = _field_laplacian(u)
         assert lap.strides[1] == 0, name
         assert (bits(lap) == bits(harmonics.synthesize(
             harmonics.laplacian(spec), grid).values)), name
@@ -453,7 +451,8 @@ def test_zonal_laplacian_and_dirichlet_term_match_the_full_spectrum(shape):
 def test_zonal_x_and_y_moments_are_exactly_zero(n_phi):
     # the uniform longitude rule sums cos(phi_k) and sin(phi_k) to 0:
     # _first_moments gives a zonal field that 0.0, and as its z moment
-    # the full product's, integrated on its column
+    # the full product's, integrated on its column: within roundoff of
+    # the exact sum n_phi sum_j w_j fl(c_j z_j)
     rng = np.random.default_rng(n_phi)
     for n_theta in (2, 33, 256, 1025) + ((24576,) if n_phi == 4 else ()):
         grid = build_grid(n_theta, n_phi)
@@ -463,6 +462,11 @@ def test_zonal_x_and_y_moments_are_exactly_zero(n_phi):
         want = _first_moments(grid, np.ascontiguousarray(wide))
         assert (bits(got[2])
                 == bits(column_integral(grid, wide * grid.xyz[:, :, 2])))
+        wcz = [Fraction(w) * Fraction(cz)
+               for w, cz in zip(grid.weight, col[:, 0] * grid.xyz[:, 0, 2])]
+        scale = n_phi * sum(abs(x) for x in wcz)
+        assert (abs(Fraction(got[2]) - n_phi * sum(wcz))
+                <= Fraction(4e-16) * scale)
         assert_xy_moments(got, want, integrate_values(grid, wide))
 
 
@@ -475,7 +479,7 @@ def test_zonal_el_residual_matches_the_full_grid_formula_bitwise(shape):
     u = bubble_pair(3.0, grid).field
     eps = 0.25
     rep = el_residual(u, eps)
-    neg_lap = -np.ascontiguousarray(_laplacian_values(u))
+    neg_lap = -np.ascontiguousarray(_field_laplacian(u))
     e2u = np.exp(2.0 * np.ascontiguousarray(u.values))
     mass = column_integral(grid, e2u)
     r = neg_lap - 8.0 * np.pi * (1.0 - eps) * (e2u / mass - 1.0 / FOUR_PI)

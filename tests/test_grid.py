@@ -4,6 +4,7 @@ import pytest
 from sphere_mt import (FOUR_PI, GridSizeError, NonFiniteFieldError,
                        ScalarField, average, build_grid, constant_field,
                        integrate)
+from sphere_mt.grid import _gauss_legendre_theta
 from sphere_mt.io import read_field, write_field
 
 from _oracles import gauss_legendre_node, ln_sin_sphere_integral
@@ -29,6 +30,16 @@ def test_build_grid_rejects_tiny_sizes():
         build_grid(1, 48)
     with pytest.raises(GridSizeError):
         build_grid(24, 3)
+
+
+def test_grids_of_one_n_theta_share_one_gauss_legendre_rule():
+    # the theta rule is cached per n_theta: a fresh n_theta at two n_phi
+    # builds it once, and both grids hold its read-only nodes bitwise
+    misses = _gauss_legendre_theta.cache_info().misses
+    a, b = build_grid(419, 4), build_grid(419, 6)
+    assert _gauss_legendre_theta.cache_info().misses == misses + 1
+    assert a.theta.tobytes() == b.theta.tobytes()
+    assert not a.theta.flags.writeable and not b.weight.flags.writeable
 
 
 def test_integrate_second_moment(grid_small):

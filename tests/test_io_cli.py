@@ -457,7 +457,7 @@ def test_cli_cached_parser_is_reused_safely(capsys):
 def test_cli_curvature_equation_is_the_full_grid_max(shape):
     # check takes max|Lap w + exp(2w) - 1| over the columns of the two
     # zonal fields; a max is exact, so it is bitwise the full-grid max
-    from sphere_mt import conformal, functional
+    from sphere_mt import conformal, functional, harmonics
     from sphere_mt.cli import _check_suite
     from sphere_mt.grid import _column
 
@@ -465,7 +465,7 @@ def test_cli_curvature_equation_is_the_full_grid_max(shape):
     details = {name: detail for name, _, detail in _check_suite(grid, 16, 42)}
     t = min(4.0, conformal.max_bubble_t(grid))
     w = conformal.mobius_factor(conformal.MobiusMap(conformal.NORTH, t), grid)
-    lap = functional._laplacian_values(w)
+    lap = harmonics._field_laplacian(w)
     e2w = functional._exp2(grid, w.values)
     assert lap.strides[1] == 0 and e2w.strides[1] == 0
     full = float(np.max(np.abs(np.ascontiguousarray(lap)
