@@ -285,7 +285,7 @@ def _fold(grid: SphericalGrid, a: np.ndarray) -> np.ndarray:
     north - mirrored south over the ceil(n_theta/2) northern rows, an
     odd grid's equator row, its own mirror, entering both once."""
     nh, h = grid.n_theta // 2, (grid.n_theta + 1) // 2
-    eo = np.stack((a[:h], a[:h]))
+    eo = np.array((a[:h], a[:h]))
     south = a[::-1][:nh]
     eo[0, :nh] += south
     eo[1, :nh] -= south
