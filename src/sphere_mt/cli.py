@@ -126,7 +126,7 @@ def _check_suite(grid, L: int, seed: int):
                f"t={t_area}, max residual = {resid:.3e}")
 
     g_mid = conformal.green_two_pole_value(np.pi / 2.0)
-    expect = -4.0 * (1.0 - math.log(2.0))
+    expect = -4.0 * conformal.OBSTRUCTION_CONSTANT
     yield ("green.midline_value", abs(g_mid - expect) <= 1e-9,
            f"G(pi/2) = {g_mid!r}")
 
@@ -216,8 +216,7 @@ def bubble_sweep_rows(t_values, alphas, grid):
         pair = conformal.bubble_pair(float(t), grid)
         rep = functional.evaluate(pair.field)
         row = [float(t), rep.avg_grad_sq, rep.avg_u, rep.log_avg_exp, rep.mass]
-        row += [a * rep.avg_grad_sq + 2.0 * rep.avg_u - rep.log_avg_exp
-                for a in alphas]
+        row += [dataclasses.replace(rep, alpha=a).i_alpha for a in alphas]
         rows.append(row)
     return rows
 

@@ -10,6 +10,11 @@ coordinates z centered at the pole.  This form is numerically stable at
 both poles and is pinned down by three testable requirements: w_1 = 0,
 area preservation of exp(2 w_t), and -Lap w_t = exp(2 w_t) - 1.
 
+The forward point map phi_t is written once, as the function of k that
+_point_map returns: mobius_point_map stacks its three components, and
+the pullback's target angles take them one at a time (z, then y and x),
+so no (n_theta, n_phi, 3) array is held.
+
 The pullback T u = u o phi + w_t composes through one quintic spline fit
 of u: its tensor spline for an off-axis pole, its restriction to the
 grid's longitudes for an axis pole, and one column of that for an axis
@@ -31,6 +36,9 @@ from .grid import ScalarField, SphericalGrid, _column
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
+
+#: energy lower bound under two-point concentration, 1 - ln 2
+OBSTRUCTION_CONSTANT = 1.0 - np.log(2.0)
 
 #: at least this many colatitude nodes across the concentration core
 _CORE_NODES = 8
@@ -115,17 +123,18 @@ def mobius_point_map(map: MobiusMap, xyz: np.ndarray) -> np.ndarray:
         phi_t(x) = ((1+c) - t^2(1-c))/D * p + (2t/D) (x - c p),
         D = (1+c) + t^2 (1-c),  c = p . x.
     """
-    p = map.pole
-    c, radial, scale = _point_map_factors(map, xyz)
-    return radial[..., None] * p + scale[..., None] * (xyz - c[..., None] * p)
+    component = _point_map(map, xyz)
+    return np.stack([component(k) for k in range(3)], axis=-1)
 
 
-def _point_map_factors(map: MobiusMap, xyz: np.ndarray):
-    """c = p . x and the factors of p and of x - c p in mobius_point_map."""
-    t = map.t
-    c = xyz @ map.pole
+def _point_map(map: MobiusMap, xyz: np.ndarray):
+    """Component k of mobius_point_map at the points xyz (..., 3), as a
+    function of k; each call forms one component array."""
+    p, t = map.pole, map.t
+    c = xyz @ p
     D = (1.0 + c) + t * t * (1.0 - c)
-    return c, ((1.0 + c) - t * t * (1.0 - c)) / D, 2.0 * t / D
+    radial, scale = ((1.0 + c) - t * t * (1.0 - c)) / D, 2.0 * t / D
+    return lambda k: radial * p[k] + scale * (xyz[..., k] - c * p[k])
 
 
 class _Interpolant:
@@ -300,14 +309,9 @@ def _tensor_values(grid: SphericalGrid, coeff: np.ndarray, theta: np.ndarray,
 
 def _target_angles(map: MobiusMap, grid: SphericalGrid):
     """theta' and phi' of every node's image under the map: the
-    components of mobius_point_map taken one at a time, in its operation
-    order (bitwise its values), with no (n_theta, n_phi, 3) temporaries."""
-    p, xyz = map.pole, grid.xyz
-    c, radial, scale = _point_map_factors(map, xyz)
-
-    def component(k):
-        return radial * p[k] + scale * (xyz[:, :, k] - c * p[k])
-
+    components of mobius_point_map (bitwise its values) taken one at a
+    time, z first, with no (n_theta, n_phi, 3) temporaries."""
+    component = _point_map(map, grid.xyz)
     theta = np.arccos(np.clip(component(2), -1.0, 1.0))
     phi = np.mod(np.arctan2(component(1), component(0)), 2.0 * np.pi)
     return theta, phi
@@ -402,7 +406,7 @@ def bubble_mass(R: float) -> float:
 def green_two_pole_value(theta) -> np.ndarray | float:
     """Closed form of the two-pole Green's function at colatitude theta."""
     th = np.asarray(theta, dtype=float)
-    out = -4.0 * np.log(np.sin(th)) - 4.0 * (1.0 - np.log(2.0))
+    out = -4.0 * np.log(np.sin(th)) - 4.0 * OBSTRUCTION_CONSTANT
     return float(out) if out.ndim == 0 else out
 
 

@@ -22,9 +22,11 @@ the columns stay broadcast, so grid and harmonics, which own the
 zonal rules, take its integrals and first moments (grid._first_moments,
 which kazdan_warner_residual shares) and its Dirichlet term and
 Laplacian (harmonics._field_dirichlet and _field_laplacian) without a
-full grid or an (L+1)^2 spectrum.  One private constructor, _report,
-writes out J, I, the shifted I, I_alpha, I_eps and the normalized
-moments for evaluate and the optimizer; beside it, _residual forms the
+full grid or an (L+1)^2 spectrum.  FunctionalReport writes out J, I,
+the shifted I, I_alpha, I_eps and the normalized moments from its base
+fields when it is constructed, and one private helper, _functionals,
+builds it from u's values, its Dirichlet average and avg_u for
+evaluate and the optimizer; beside it, _residual forms the
 EL residual, its norm, zero-integral check and closed-form
 Kazdan-Warner defects from -Lap u and the exp(2u) parts, for
 el_residual (hence l2_gradient) and the optimizer; on a zonal u it
@@ -40,16 +42,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import harmonics
-from .conformal import bubble_mass
+from .conformal import OBSTRUCTION_CONSTANT, bubble_mass
 from .errors import InvariantViolation, RangeOverflowError
 from .grid import (FOUR_PI, ScalarField, SphericalGrid, _column,
                    _first_moments, average, integrate_values)
 
 #: exp argument ceiling; doubles overflow near 709.78
 EXP_LIMIT = 700.0
-
-#: energy lower bound under two-point concentration, 1 - ln 2
-OBSTRUCTION_CONSTANT = 1.0 - np.log(2.0)
 
 
 def _exp2(grid: SphericalGrid, u: np.ndarray) -> np.ndarray:
@@ -97,12 +96,20 @@ def _log_avg_exp(grid: SphericalGrid, u: np.ndarray, mass: float) -> float:
 class FunctionalReport:
     """Every scalar diagnostic of a field in one place.
 
+    The functionals are computed from the base fields (avg_grad_sq,
+    avg_u, log_avg_exp, mass, moments, alpha, eps) when the report is
+    constructed, so they are not constructor arguments, and
+    dataclasses.replace recomputes them:
+
+    normalized_moments = moments / mass
     onofri_J    = avg_grad_sq + 2 avg_u - log_avg_exp        (>= 0)
     improved_I  = avg_grad_sq / 2 - log_avg_exp              (critical
                   Dirichlet coefficient; meaningful on the avg_u = 0 slice)
     shifted_I   = avg_grad_sq / 2 + 2 avg_u - log_avg_exp    (shift invariant)
-    i_alpha     = alpha * avg_grad_sq + 2 avg_u - log_avg_exp
-    i_eps       = avg_grad_sq / (2 (1-eps)) + 2 avg_u - log_avg_exp
+    i_alpha     = alpha * avg_grad_sq + 2 avg_u - log_avg_exp   (None
+                  without alpha)
+    i_eps       = avg_grad_sq / (2 (1-eps)) + 2 avg_u - log_avg_exp   (None
+                  without eps)
     """
 
     avg_grad_sq: float
@@ -110,37 +117,36 @@ class FunctionalReport:
     log_avg_exp: float
     mass: float
     moments: np.ndarray = field(repr=False)
-    normalized_moments: np.ndarray = field(repr=False)
-    onofri_J: float = 0.0
-    improved_I: float = 0.0
-    shifted_I: float = 0.0
+    normalized_moments: np.ndarray = field(init=False, repr=False)
+    onofri_J: float = field(init=False)
+    improved_I: float = field(init=False)
+    shifted_I: float = field(init=False)
     alpha: float | None = None
-    i_alpha: float | None = None
+    i_alpha: float | None = field(init=False)
     eps: float | None = None
-    i_eps: float | None = None
+    i_eps: float | None = field(init=False)
+
+    def __post_init__(self):
+        g, a, lae = self.avg_grad_sq, self.avg_u, self.log_avg_exp
+        alpha, eps = self.alpha, self.eps
+        for name, value in (
+                ("normalized_moments", self.moments / self.mass),
+                ("onofri_J", g + 2.0 * a - lae),
+                ("improved_I", 0.5 * g - lae),
+                ("shifted_I", 0.5 * g + 2.0 * a - lae),
+                ("i_alpha", None if alpha is None else alpha * g + 2.0 * a - lae),
+                ("i_eps", None if eps is None
+                 else g / (2.0 * (1.0 - eps)) + 2.0 * a - lae)):
+            object.__setattr__(self, name, value)
 
 
-def _report(avg_grad_sq: float, avg_u: float, log_avg_exp: float,
-            mass: float, moments: np.ndarray, alpha: float | None = None,
-            eps: float | None = None) -> FunctionalReport:
-    """The one place the functionals are written out from their parts."""
-    return FunctionalReport(
-        avg_grad_sq=avg_grad_sq,
-        avg_u=avg_u,
-        log_avg_exp=log_avg_exp,
-        mass=mass,
-        moments=moments,
-        normalized_moments=moments / mass,
-        onofri_J=avg_grad_sq + 2.0 * avg_u - log_avg_exp,
-        improved_I=0.5 * avg_grad_sq - log_avg_exp,
-        shifted_I=0.5 * avg_grad_sq + 2.0 * avg_u - log_avg_exp,
-        alpha=alpha,
-        i_alpha=(None if alpha is None
-                 else alpha * avg_grad_sq + 2.0 * avg_u - log_avg_exp),
-        eps=eps,
-        i_eps=(None if eps is None
-               else avg_grad_sq / (2.0 * (1.0 - eps)) + 2.0 * avg_u - log_avg_exp),
-    )
+def _functionals(grid: SphericalGrid, u: np.ndarray, avg_grad_sq: float,
+                 avg_u: float, alpha: float | None = None, eps: float | None = None):
+    """(exp(2u), FunctionalReport) of the values u, given their Dirichlet
+    average and avg_u; exp(2u) overflow raises RangeOverflowError."""
+    e2u, mass, moments = _exp2u(grid, u)
+    return e2u, FunctionalReport(avg_grad_sq, avg_u, _log_avg_exp(grid, u, mass),
+                                 mass, moments, alpha, eps)
 
 
 def evaluate(u: ScalarField, alpha: float | None = None,
@@ -156,12 +162,9 @@ def evaluate(u: ScalarField, alpha: float | None = None,
         raise ValueError(f"alpha={alpha} is not finite")
     if eps is not None and not (-np.inf < eps < 1.0):
         raise ValueError(f"eps={eps} must be finite and below 1")
-    grid = u.grid
-    L = harmonics.max_degree(grid) if L is None else L
-    _, mass, moments = _exp2u(grid, u.values)
-    dirichlet = harmonics._field_dirichlet(u, L)
-    return _report(dirichlet / FOUR_PI, average(u),
-                   _log_avg_exp(grid, u.values, mass), mass, moments, alpha, eps)
+    L = harmonics.max_degree(u.grid) if L is None else L
+    avg_grad_sq = harmonics._field_dirichlet(u, L) / FOUR_PI
+    return _functionals(u.grid, u.values, avg_grad_sq, average(u), alpha, eps)[1]
 
 
 @dataclass(frozen=True)
@@ -325,7 +328,7 @@ def energy_expansion_report(t: float, R: float) -> ExpansionReport:
 
     lambda_peak = 2.0 * np.log(t) - np.log(8.0 * np.pi)
     D_value = (-lambda_peak + 2.0 * np.log(R * R / q)
-               + 4.0 * (1.0 - np.log(2.0)))
+               + 4.0 * OBSTRUCTION_CONSTANT)
     return ExpansionReport(
         t=float(t), R=R, lambda_peak=lambda_peak,
         I1_closed=I1_closed, I1_numeric=I1_numeric,

@@ -13,13 +13,14 @@ of the gradient's Laplacian term, and after each stored pair becomes
 s.y / y.(precond y) (sec. 7.2); a pair with s.y <= 0 is skipped.  Each
 outer iteration changes the objective, so it starts with empty memory and
 gamma reset.  A step tries alpha = 1 first, then Armijo backtracking; a
-two-loop direction that is not a descent direction drops the memory for
--gamma * precond * g.  The preconditioner shapes the steps, not the
-stopping test: an inner loop stops once the L^2 norm of the spectral
-gradient is at most tol_grad, and that gradient is the EL residual's
-degree <= L part over 4 pi (1-eps) plus the moment terms.  Blow-up is
-detected operationally from iterate max and mass thresholds and
-reported as a status, never raised.
+two-loop direction that is not a descent direction is replaced by the
+two-loop direction with the memory dropped, -gamma * precond * g.  The
+preconditioner shapes the steps, not the stopping test: an inner loop
+stops once the L^2 norm of the spectral gradient is at most tol_grad,
+and that gradient is the EL residual's degree <= L part over
+4 pi (1-eps) plus the moment terms.  Blow-up is detected operationally
+from iterate max and mass thresholds and reported as a status, never
+raised.
 
 The penalty schedule (MU0, MU_GROWTH), the blow-up thresholds
 (MAX_U_THRESHOLD, MASS_THRESHOLD) and the L-BFGS memory (LBFGS_MEMORY)
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import conformal, harmonics
 from .errors import RangeOverflowError
-from .functional import _exp2u, _log_avg_exp, _report, _residual
+from .functional import _functionals, _residual
 from .grid import FOUR_PI, ScalarField, _column, build_grid
 from .io import read_field
 
@@ -143,13 +144,12 @@ class _Workspace:
         avg_u = 0 (the gauge); (u, None, None) if exp(2u) overflows."""
         spec = harmonics.HarmonicSpectrum(L=self.L, coeff=coeff)
         u = harmonics.synthesize(spec, self.grid).values
+        avg_grad_sq = harmonics.dirichlet_energy(spec) / FOUR_PI
         try:
-            e2u, mass, moments = _exp2u(self.grid, u)
+            return u, *_functionals(self.grid, u, avg_grad_sq, 0.0,
+                                    eps=self.config.eps)
         except RangeOverflowError:
             return u, None, None
-        return u, e2u, _report(harmonics.dirichlet_energy(spec) / FOUR_PI, 0.0,
-                               _log_avg_exp(self.grid, u, mass), mass, moments,
-                               eps=self.config.eps)
 
     def objective(self, st: tuple, lam: np.ndarray, mu: float) -> float:
         """I_eps plus the augmented-Lagrangian moment terms."""
@@ -281,11 +281,11 @@ def minimize(config: MinimizeConfig,
     LBFGS_MEMORY pairs with H0 = gamma * precond (gamma = 4 pi (1-eps) at
     the start of every outer iteration, whose memory starts empty, then
     s.y / y.(precond y) after each stored pair; pairs with s.y <= 0 are
-    skipped), falling back to -gamma * precond * g with the memory
-    dropped if that is not a descent direction.  Each step tries
-    alpha = 1, then Armijo backtracking.  Returns converged /
-    blowup_detected / iteration_cap; evaluation overflow becomes
-    blowup_detected.  converged bounds the spectral gradient's L^2 norm
+    skipped), falling back to the two-loop direction with the memory
+    dropped, -gamma * precond * g, if that is not a descent direction.
+    Each step tries alpha = 1, then Armijo backtracking.  Returns
+    converged / blowup_detected / iteration_cap; evaluation overflow
+    becomes blowup_detected.  converged bounds the spectral gradient's L^2 norm
     (by tol_grad) and the violation (by tol_constraint).  The start is
     initial_coeff if given (the caller's array is not modified), else the
     one config.init_kind describes; its constant mode is set to zero.
@@ -325,7 +325,7 @@ def minimize(config: MinimizeConfig,
             slope = float(ghat @ direction)
             if not slope < 0.0:
                 pairs.clear()
-                direction = -gamma * ws.precond * ghat
+                direction = -_lbfgs_direction(ghat, pairs, gamma * ws.precond)
                 slope = float(ghat @ direction)
             alpha = 1.0
             for _ in range(MAX_BACKTRACKS):

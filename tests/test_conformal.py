@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -379,6 +381,21 @@ def test_target_angles_are_the_point_map_bitwise(shape):
             ours = conformal._target_angles(m, grid)
             assert ours[0].tobytes() == theta.tobytes()
             assert ours[1].tobytes() == phi.tobytes()
+
+
+def test_target_angles_hold_one_component_at_a_time():
+    # the point map's components are formed one at a time: at 256x512 a
+    # component is 1 MB, and the peak (8.4 MB) would reach 9.4 MB if all
+    # three were formed at once
+    grid = build_grid(256, 512)
+    m = MobiusMap(np.array([0.6, 0.0, 0.8]), 4.0)
+    tracemalloc.start()
+    try:
+        conformal._target_angles(m, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0e6, peak
 
 
 def test_pullback_requires_even_n_phi():

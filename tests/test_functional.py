@@ -1,10 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sphere_mt import (FOUR_PI, HarmonicSpectrum, MobiusMap,
+from sphere_mt import (FOUR_PI, FunctionalReport, HarmonicSpectrum, MobiusMap,
                        OBSTRUCTION_CONSTANT, RangeOverflowError, ScalarField,
                        bubble_pair, build_grid, constant_field,
                        el_residual, energy_expansion_report, evaluate,
@@ -59,6 +60,36 @@ def test_evaluate_keeps_low_mass_fields(grid_default):
     rep = evaluate(constant_field(grid_default, -20.0))
     assert rep.log_avg_exp == pytest.approx(-40.0, rel=1e-14)
     assert rep.mass == pytest.approx(FOUR_PI * np.exp(-40.0), rel=1e-14)
+
+
+def test_functional_report_is_consistent_by_construction(grid_default):
+    # the functionals are computed from the base fields, never passed in,
+    # so a report cannot contradict them and replace() recomputes them
+    rng = np.random.default_rng(19)
+    g, a, lae = rng.uniform(0.1, 2.0), rng.uniform(-2.0, 0.0), rng.uniform(-2.0, 1.0)
+    mass, moments = rng.uniform(1.0, 20.0), rng.standard_normal(3)
+    base = dict(avg_grad_sq=g, avg_u=a, log_avg_exp=lae, mass=mass,
+                moments=moments)
+    rep = FunctionalReport(**base, alpha=0.4, eps=0.2)
+    assert np.array_equal(rep.normalized_moments, moments / mass)
+    assert rep.onofri_J == g + 2.0 * a - lae
+    assert rep.improved_I == 0.5 * g - lae
+    assert rep.shifted_I == 0.5 * g + 2.0 * a - lae
+    assert rep.i_alpha == 0.4 * g + 2.0 * a - lae
+    assert rep.i_eps == g / (2.0 * (1.0 - 0.2)) + 2.0 * a - lae
+    plain = FunctionalReport(**base)
+    assert plain.i_alpha is None and plain.i_eps is None
+    with pytest.raises(TypeError):
+        FunctionalReport(**base, onofri_J=0.0)
+
+    assert replace(rep, alpha=0.6).i_alpha == 0.6 * g + 2.0 * a - lae
+    moved = replace(rep, avg_u=1.0)
+    assert moved.onofri_J == g + 2.0 * 1.0 - lae
+    assert moved.shifted_I == 0.5 * g + 2.0 * 1.0 - lae
+    # a 64x128 bubble pair: the alpha = 0.6 column of an alpha = 0.4 report
+    pair = bubble_pair(4.0, grid_default).field
+    assert (replace(evaluate(pair, alpha=0.4), alpha=0.6).i_alpha
+            == evaluate(pair, alpha=0.6).i_alpha)
 
 
 def test_shift_invariance(grid_default):

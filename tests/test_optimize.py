@@ -97,9 +97,13 @@ def test_penalty_stops_growing_once_the_constraint_holds():
 
 
 def test_lbfgs_direction_without_pairs_is_the_diagonal():
+    # the minimizer's non-descent fallback is this direction, negated:
+    # negation is exact, so it is bitwise -gamma * precond * g
     rng = np.random.default_rng(11)
     g, h0 = rng.standard_normal(25), rng.uniform(0.1, 2.0, 25)
-    assert np.max(np.abs(_lbfgs_direction(g, [], h0) - h0 * g)) <= 1e-12
+    assert np.array_equal(_lbfgs_direction(g, [], h0), h0 * g)
+    gamma = rng.uniform(1.0, 20.0)
+    assert np.array_equal(-_lbfgs_direction(g, [], gamma * h0), -gamma * h0 * g)
 
 
 def test_lbfgs_direction_satisfies_the_newest_secant_equation():
