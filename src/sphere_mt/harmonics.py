@@ -50,7 +50,10 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   parity-folded Gauss-Legendre sum against a cached table of p_{l,0}
   at the northern nodes, with every m != 0 coefficient exactly 0.
   synthesize takes a spectrum whose m != 0 coefficients are all exactly
-  0 the same way, to one column broadcast over phi.  Two column kernels
+  0 the same way, to one column broadcast over phi.  The fold keeps the
+  parity exact: a column equal to its mirror analyzes to odd-l
+  coefficients that are exactly 0, and an even-l spectrum synthesizes
+  to a column bitwise equal to its mirror.  Two column kernels
   do this work, _zonal_analysis (column to its L + 1 m = 0
   coefficients) and _zonal_synthesis (back, broadcast).  The
   field-level _field_dirichlet (the Dirichlet term at degree L) and
@@ -59,11 +62,14 @@ transforms aimed at pseudospectral numerical simulations" (G^3 2013):
   takes them on the column kernels without forming the (L+1)^2
   spectrum, with the l(l+1) weights, their sign rule and their
   square-then-weight sum shared with dirichlet_energy and laplacian;
-  any other field goes through analyze.  One fill builds
-  both tables: the slabs are its run over all L + 1 orders, and the
-  m = 0 table is slab 0's columns 0..L of its run over order 0 alone,
-  so it is bitwise the slabs' m = 0 rows and zonal work never builds
-  the paired-m slabs.  Both skip the FFT, the lanes and the slab product.
+  any other field goes through analyze.  The recurrence builds both
+  tables: the slabs from its run over all L + 1 orders, and the m = 0
+  table from its run over order 0 alone, one row per degree, stacked
+  as they come.  That table is degree-major, (L + 1, ceil(n_theta/2)),
+  bitwise the slabs' m = 0 rows, so zonal work never builds the
+  paired-m slabs; its even-l and odd-l rows are whole-row slices, so
+  both parity products run in BLAS.  Zonal work skips the FFT, the
+  lanes and the slab product.
 """
 
 from __future__ import annotations
@@ -162,11 +168,12 @@ class HarmonicSpectrum:
         return float(self.coeff[flat_index(l, m)])
 
 
-def _frozen(coeff: np.ndarray) -> np.ndarray:
-    """A coefficient array just built, made read-only in place, so that
-    HarmonicSpectrum holds it without a copy."""
-    coeff.setflags(write=False)
-    return coeff
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """An array just built, made read-only in place: a cached Legendre
+    table, or coefficients that HarmonicSpectrum then holds without a
+    copy."""
+    a.setflags(write=False)
+    return a
 
 
 def _legendre_offsets(grid: SphericalGrid, L: int, orders: int):
@@ -199,40 +206,34 @@ def _legendre_offsets(grid: SphericalGrid, L: int, orders: int):
         yield p_cur
 
 
-def _legendre_fill(grid: SphericalGrid, L: int, orders: int) -> np.ndarray:
-    """The one fill of the paired-m slabs: p_{l,m}(x_j) at the northern
-    GL nodes for the first `orders` orders, read-only.
-
-    Shape (min(orders, L//2 + 1), ceil(n_theta/2), L + 2), p_{l,m} in slab
-    slab_m[m], column col_m[m] + l - m of _slab_index; each offset
-    d = l - m is written in place for every order at once.  The callers
-    have checked L against the grid.
-    """
-    *_, slab_m, col_m = _slab_index(L)
-    slabs = np.zeros((min(orders, L // 2 + 1), (grid.n_theta + 1) // 2, L + 2))
-    for d, p in enumerate(_legendre_offsets(grid, L, orders)):
-        slabs[slab_m[:len(p)], :, col_m[:len(p)] + d] = p
-    slabs.setflags(write=False)
-    return slabs
-
-
 @lru_cache(maxsize=16)
 def _legendre_tables(grid: SphericalGrid, L: int) -> np.ndarray:
-    """The paired-m slabs of all L + 1 orders: _legendre_fill's whole table."""
-    return _legendre_fill(grid, L, L + 1)
+    """The paired-m slabs: p_{l,m}(x_j) at the northern GL nodes for all
+    L + 1 orders, read-only.
+
+    Shape (L//2 + 1, ceil(n_theta/2), L + 2), p_{l,m} in slab slab_m[m],
+    column col_m[m] + l - m of _slab_index; each offset d = l - m is
+    written in place for every order at once.  The callers have checked
+    L against the grid.
+    """
+    *_, slab_m, col_m = _slab_index(L)
+    slabs = np.zeros((L // 2 + 1, (grid.n_theta + 1) // 2, L + 2))
+    for d, p in enumerate(_legendre_offsets(grid, L, L + 1)):
+        slabs[slab_m[:len(p)], :, col_m[:len(p)] + d] = p
+    return _frozen(slabs)
 
 
 @lru_cache(maxsize=16)
 def _zonal_table(grid: SphericalGrid, L: int) -> np.ndarray:
-    """p_{l,0}(x_j) at the northern GL nodes, shape (ceil(n_theta/2), L + 1):
-    slab 0's columns 0..L of the fill for order 0 alone, so bitwise those
+    """p_{l,0}(x_j) at the northern GL nodes, read-only, degree-major:
+    shape (L + 1, ceil(n_theta/2)), row l the order-0 row of offset l of
+    _legendre_offsets, stacked as they come, so bitwise the m = 0 rows
     of _legendre_tables without building its other slabs.
 
-    The slice keeps slab 0's L + 2 row stride: a contiguous (h, L + 1)
-    array sends the parity products of analyze and synthesize down
-    another matmul path, which moves bits.
+    The parity rows p[0::2] and p[1::2] are whole rows of a C-contiguous
+    array, so the zonal parity products run in BLAS.
     """
-    return _legendre_fill(grid, L, 1)[0, :, : L + 1]
+    return _frozen(np.concatenate(list(_legendre_offsets(grid, L, 1))))
 
 
 @lru_cache(maxsize=16)
@@ -314,8 +315,8 @@ def _zonal_analysis(grid: SphericalGrid, col: np.ndarray, L: int) -> np.ndarray:
     even, odd = _fold(grid, grid.n_phi * grid.weight * col)
     p = _zonal_table(grid, L)
     c = np.empty(L + 1)
-    c[0::2] = even @ p[:, 0::2]
-    c[1::2] = odd @ p[:, 1::2]
+    c[0::2] = p[0::2] @ even
+    c[1::2] = p[1::2] @ odd
     return c
 
 
@@ -324,7 +325,7 @@ def _zonal_synthesis(grid: SphericalGrid, c: np.ndarray) -> np.ndarray:
     degree L = len(c) - 1 already checked against the grid, as
     synthesize gives them: one column, broadcast over phi."""
     p = _zonal_table(grid, len(c) - 1)
-    col = _unfold(grid, p[:, 0::2] @ c[0::2], p[:, 1::2] @ c[1::2],
+    col = _unfold(grid, c[0::2] @ p[0::2], c[1::2] @ p[1::2],
                   np.empty(grid.n_theta))
     return np.broadcast_to(col[:, None], (grid.n_theta, grid.n_phi))
 

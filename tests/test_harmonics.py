@@ -471,54 +471,61 @@ def test_zonal_and_general_paths_agree(shape):
     assert np.max(np.abs(general.values - f.values)) <= 1e-13
 
 
-# the zonal sums taken on slab 0 of the paired-m table, as the zonal
-# paths read them before the m = 0 table existed
-def slab0_analysis(grid, L, col):
-    p = _legendre_tables(grid, L)[0, :, : L + 1]
-    nh, h = grid.n_theta // 2, p.shape[0]
-    even, odd = col[:h].copy(), col[:h].copy()
-    even[:nh] += col[::-1][:nh]
-    odd[:nh] -= col[::-1][:nh]
-    return even @ p[:, 0::2], odd @ p[:, 1::2]
-
-
-def slab0_synthesis(grid, L, c0):
-    p = _legendre_tables(grid, L)[0, :, : L + 1]
-    nh, h = grid.n_theta // 2, p.shape[0]
-    even, odd = p[:, 0::2] @ c0[0::2], p[:, 1::2] @ c0[1::2]
-    out = np.empty(grid.n_theta)
-    out[:h] = even + odd
-    out[::-1][:nh] = (even - odd)[:nh]
-    return out
-
-
 @pytest.mark.parametrize("shape", [(64, 128), (65, 130), (9, 4)])
 def test_zonal_paths_read_the_slab_zero_sums_bitwise(shape):
-    # the m = 0 table is slab 0's columns 0..L, with slab 0's row stride,
-    # so the zonal paths give bitwise what they gave on slab 0
+    # the m = 0 table is bitwise slab 0's columns 0..L, stored degree-major
+    # so its parity rows are whole rows; the zonal sums then take another
+    # summation order than the strided slab-0 products they replaced, so
+    # those agree to roundoff: O(1) sums of at most 33 terms, measured
+    # within 1.8e-15
     grid = build_grid(*shape)
     rng = np.random.default_rng(shape[0])
     for L in sorted({0, 1, 2, max_degree(grid)}):
         if L > max_degree(grid):
             continue
         p0, slab0 = _zonal_table(grid, L), _legendre_tables(grid, L)[0, :, : L + 1]
-        assert np.array_equal(p0, slab0)
-        assert p0.strides == slab0.strides
+        assert np.array_equal(p0, slab0.T)
+        assert p0.flags.c_contiguous
         assert not p0.flags.writeable
         l = np.arange(L + 1)
+        c0 = rng.uniform(-1.0, 1.0, L + 1)
         c = np.zeros((L + 1) ** 2)
-        c[flat_index(l, 0)] = rng.uniform(-1.0, 1.0, L + 1)
+        c[flat_index(l, 0)] = c0
         f = synthesize(HarmonicSpectrum(L=L, coeff=c), grid)
-        assert np.array_equal(f.values[:, 0],
-                              slab0_synthesis(grid, L, c[flat_index(l, 0)]))
-        # a contiguous table would move the L = 0 analysis bits on about
-        # half of all columns, so eight are drawn
+        ref = harmonics._unfold(grid, slab0[:, 0::2] @ c0[0::2],
+                                slab0[:, 1::2] @ c0[1::2], np.empty(grid.n_theta))
+        assert np.max(np.abs(f.values[:, 0] - ref)) <= 1e-14
         for col in rng.uniform(-1.0, 1.0, (8, grid.n_theta)):
             f = ScalarField(grid, np.repeat(col[:, None], grid.n_phi, 1))
-            back = analyze(f, L)
-            even, odd = slab0_analysis(grid, L, grid.n_phi * grid.weight * col)
-            assert np.array_equal(back.coeff[flat_index(l[0::2], 0)], even)
-            assert np.array_equal(back.coeff[flat_index(l[1::2], 0)], odd)
+            back = analyze(f, L).coeff[flat_index(l, 0)]
+            even, odd = harmonics._fold(grid, grid.n_phi * grid.weight * col)
+            assert np.all(np.abs(back[0::2] - even @ slab0[:, 0::2]) <= 1e-14)
+            assert np.all(np.abs(back[1::2] - odd @ slab0[:, 1::2]) <= 1e-14)
+
+
+@pytest.mark.parametrize("shape", [(64, 128), (65, 130), (9, 4)])
+def test_zonal_transforms_keep_parity_exactly(shape):
+    # the parity fold makes an even column's odd-l coefficients, and an
+    # even-l spectrum's odd part, exactly 0: a zonal-even basis relies
+    # on it, and one full-node product each way gives roundoff instead
+    grid = build_grid(*shape)
+    rng = np.random.default_rng(shape[0] + 1)
+    a = rng.uniform(-1.0, 1.0, grid.n_theta)
+    even_col, odd_col = a + a[::-1], a - a[::-1]
+    assert np.array_equal(even_col, even_col[::-1])
+    assert np.array_equal(odd_col, -odd_col[::-1])
+    for L in sorted({0, 1, 2, max_degree(grid)}):
+        if L > max_degree(grid):
+            continue
+        l = np.arange(L + 1)
+        for col, zero in ((even_col, 1), (odd_col, 0)):
+            f = ScalarField(grid, np.repeat(col[:, None], grid.n_phi, 1))
+            assert np.all(analyze(f, L).coeff[flat_index(l[zero::2], 0)] == 0.0)
+        for parity, sign in ((0, 1.0), (1, -1.0)):
+            c = np.zeros((L + 1) ** 2)
+            c[flat_index(l[parity::2], 0)] = rng.uniform(-1.0, 1.0, l[parity::2].size)
+            col = synthesize(HarmonicSpectrum(L=L, coeff=c), grid).values[:, 0]
+            assert np.array_equal(col, sign * col[::-1])
 
 
 def test_zonal_work_never_builds_the_paired_m_table():
