@@ -16,13 +16,15 @@ import contextlib
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from sphere_mt.cli import main, sweep_grid_sizes
 
-from _oracles import pair_i_alpha
+from _oracles import (FOUR_PI, pair_energy, pair_i_alpha, pair_mass,
+                      single_bubble_average)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -165,20 +167,40 @@ def test_every_reference_has_a_case():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(CASES)
 
 
+def pair_columns(t: float) -> dict:
+    """The bubble pair's avg_grad_sq, avg_u, log_avg_exp and mass at
+    dilation t from the 1-D oracles."""
+    mass = pair_mass(t)
+    return {"avg_grad_sq": pair_energy(t) / FOUR_PI,
+            "avg_u": 2.0 * single_bubble_average(t),
+            "log_avg_exp": math.log(mass / FOUR_PI), "mass": mass}
+
+
 def test_bubble_pair_references_lie_near_the_oracle():
     # the references are regenerated from the code, so a rewrite is also
-    # judged against the true I_alpha: the 1-D oracle (validated up to
-    # t = 256), with a bound per grid
+    # judged against the true values: the 1-D oracles (validated up to
+    # t = 256), with a bound per grid.  On the sweep the largest
+    # distances sit at t = 32, and a 40-digit quadrature puts them in the
+    # code (avg_grad_sq -1.04e-12, log_avg_exp -1.16e-12), not the oracle
     sweep = json.loads(reference_path("sweep").read_text(encoding="utf-8"))
     assert sweep_grid_sizes(32.0, 64, 128) == (256, 512)
     header, rows = sweep["output"]["header"], sweep["output"]["rows"]
+    assert header[1:5] == ["avg_grad_sq", "avg_u", "log_avg_exp", "mass"]
     assert header[5:] == ["I_alpha[0.4]", "I_alpha[0.5]", "I_alpha[0.6]"]
     assert max(row[0] for row in rows) <= 32.0
     for row in rows:  # 256x512, t = 2 ... 32
+        t = row[0]
         for alpha, value in zip((0.4, 0.5, 0.6), row[5:]):
-            assert abs(value - pair_i_alpha(row[0], alpha)) <= 1e-12, (row[0], alpha)
+            assert abs(value - pair_i_alpha(t, alpha)) <= 1e-12, (t, alpha)
+        oracle = pair_columns(t)
+        for name, value in zip(header[1:4], row[1:4]):
+            bound = 1e-14 if name == "avg_u" else 2e-12
+            assert abs(value - oracle[name]) <= bound, (t, name)
+        assert abs(row[4] - oracle["mass"]) <= 2e-12 * oracle["mass"], (t, "mass")
 
     ref = json.loads(reference_path("evaluate_bubble_pair").read_text(encoding="utf-8"))
     out = ref["output"]  # 64x128, t = 4
     assert ref["argv"][:3] == ["evaluate", "--make-bubble-pair", "4"]
     assert abs(out["i_alpha"] - pair_i_alpha(4.0, out["alpha"])) <= 1e-13
+    for name, value in pair_columns(4.0).items():
+        assert abs(out[name] - value) <= 1e-14, name
