@@ -342,7 +342,7 @@ def mobius_pullback(u: ScalarField, map: MobiusMap) -> ScalarField:
     if map.is_identity:
         return u
     if map.on_axis:
-        z = np.clip(mobius_point_map(map, grid.xyz[:, 0])[:, 2], -1.0, 1.0)
+        z = np.clip(_point_map(map, grid.xyz[:, 0])(2), -1.0, 1.0)
         composed = _meridian_spline(grid, _column(u.values))(np.arccos(z))
     else:
         composed = _tensor_values(grid, _tensor_spline(u), *_target_angles(map, grid))

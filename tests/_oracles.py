@@ -82,6 +82,37 @@ def pair_i_alpha(t: float, alpha: float) -> float:
     return alpha * ags + 2.0 * avg_u - log_avg_exp
 
 
+def pair_i_half(t: float, dps: int = 40) -> mpmath.mpf:
+    """I_1/2 along the two-bubble family at `dps` digits, by mpmath
+    quadrature in c, returned unrounded (compare it inside
+    mpmath.workdps).
+
+    c -> -c swaps the two bubbles, so every integrand is even and the
+    average over S^2, (1/2) int_{-1}^{1}, is int_{-1}^{0}.  The southern
+    bubble has width 1 + c ~ 1/t^2, so [-1, 0] is split at
+    -1 + 10^k/t^2 for each k >= 0 that falls below 0.
+    """
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(t)
+        t2 = t * t
+        cuts, k = [mpmath.mpf(-1)], 0
+        while -1 + mpmath.mpf(10) ** k / t2 < 0:
+            cuts.append(-1 + mpmath.mpf(10) ** k / t2)
+            k += 1
+        cuts.append(mpmath.mpf(0))
+
+        def avg(f):
+            return mpmath.quad(f, cuts)
+
+        def ns(c):  # the two bubbles' denominators, An * As
+            return ((1 + c) + t2 * (1 - c)) * ((1 - c) + t2 * (1 + c))
+
+        avg_grad_sq = avg(lambda c: (1 - c * c) * (2 * c * (t2 - 1) ** 2 / ns(c)) ** 2)
+        avg_u = avg(lambda c: mpmath.log(4 * t2 / ns(c)))
+        avg_exp = avg(lambda c: 16 * t2 * t2 / ns(c) ** 2)
+        return avg_grad_sq / 2 + 2 * avg_u - mpmath.log(avg_exp)
+
+
 def bubble_core_energy(R: float, dps: int = 50) -> float:
     """16 pi (ln(1 + x) + 1/(1 + x) - 1) with x = 2 pi R^2, the bubble-core
     Dirichlet energy of the expansion report, at `dps` digits."""

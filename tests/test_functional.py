@@ -2,6 +2,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,7 +19,7 @@ from sphere_mt.functional import _exp2u, _log_avg_exp
 from sphere_mt.grid import _first_moments, integrate, integrate_values
 from sphere_mt.harmonics import _field_laplacian
 
-from _oracles import bubble_core_energy, pair_i_alpha
+from _oracles import bubble_core_energy, pair_i_alpha, pair_i_half
 
 LN2 = np.log(2.0)
 
@@ -140,6 +141,29 @@ def test_i_alpha_along_bubble_family(grid_default):
     assert rep16.i_alpha == pytest.approx(pair_i_alpha(16.0, 0.4), abs=1e-8)
     assert vals[8.0] < vals[4.0]
     assert rep16.i_alpha < vals[8.0] - 0.15  # divergence evidence
+
+
+
+def test_pair_i_half_oracle_at_forty_digits():
+    # compared in mpmath, before any rounding to float
+    with mpmath.workdps(40):
+        expected = mpmath.mpf("0.2953445474035907054")
+        assert abs(pair_i_half(32) - expected) <= mpmath.mpf("1e-18")
+    # the scipy oracle within its validated range: 7.9e-16, 3.8e-15 and
+    # 4.9e-14 measured
+    for t in (2.0, 32.0, 256.0):
+        assert abs(float(pair_i_half(t)) - pair_i_alpha(t, 0.5)) <= 1e-13, t
+
+
+@pytest.mark.parametrize("t", [256, 1024, 4096])
+def test_bubble_pair_gap_rate(t):
+    # g(t) = (1 - ln 2) - I_1/2 = (4 ln t - 2)/t^2 + O((ln t)^2/t^4): the
+    # rate at which bubble pairs approach the paper's 1 - ln 2.  The
+    # remainder's ratio to (ln t)^2/t^4 measured -7.24, -7.40 and -7.50
+    with mpmath.workdps(40):
+        g = (1 - mpmath.log(2)) - pair_i_half(t)
+        ln_t = mpmath.log(t)
+        assert abs(g * t * t - 4 * ln_t + 2) <= 8 * ln_t ** 2 / (t * t)
 
 
 # ----------------------------------------------------------- l2_gradient
