@@ -143,7 +143,6 @@ def test_i_alpha_along_bubble_family(grid_default):
     assert rep16.i_alpha < vals[8.0] - 0.15  # divergence evidence
 
 
-
 def test_pair_i_half_oracle_at_forty_digits():
     # compared in mpmath, before any rounding to float
     with mpmath.workdps(40):
